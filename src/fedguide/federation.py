@@ -47,7 +47,7 @@ from .guidance import (
     local_train_epoch,
     server_update,
 )
-from .metrics import RoundMetrics, account_bytes, evaluate
+from .metrics import ClientScore, RoundMetrics, account_bytes, evaluate
 from .nn import (
     LossConfig,
     MiniBatch,
@@ -56,6 +56,7 @@ from .nn import (
     family_spec,
     grad_params,
     init_params,
+    param_count,
     params_from_flat,
     run_sgd_epoch,
 )
@@ -204,12 +205,14 @@ def task_digest(config: RunConfig) -> str:
 
 @dataclass
 class ClientState:
-    """One client's fixed architecture, current parameters, and local data."""
+    """One client's fixed architecture, current parameters, and local data,
+    plus its last evaluation score (reused while ``params`` is unchanged)."""
 
     index: int
     spec: ModelSpec
     params: ModelParams
     data: ClientDataset
+    score: ClientScore | None = None
 
 
 @dataclass
@@ -320,7 +323,9 @@ def _client_work(
         batch = _sample_batch(data.study, config.batch_size, batch_rng)
         loss_cfg = guided_loss_config(gset)
         g = grad_params(spec, params, batch, loss_cfg)
-        upload = guidance_gradient(spec, params, batch, data.quiz, gset, config.eta_c)
+        upload = guidance_gradient(
+            spec, params, batch, data.quiz, gset, config.eta_c, study_grad=g
+        )
         if config.noise_s > 0 and config.noise_p > 0:
             noise_rng = rngmod.stream(seed, rngmod.NOISE, i, round_index)
             upload = add_privacy_noise(upload, config.noise_s, config.noise_p, noise_rng)
@@ -365,7 +370,8 @@ def run_round(
     config: RunConfig,
     eval_cache: tuple[float, np.ndarray, float] | None = None,
 ) -> tuple[ServerState, RoundMetrics]:
-    """Execute one communication round; mutates participants' params in place.
+    """Execute one communication round; mutates participants' params and
+    clients' evaluation scores in place.
 
     ``eval_cache`` carries the previous evaluation for rounds that skip it
     (eval_every > 1).
@@ -413,9 +419,12 @@ def run_round(
     )
 
     if round_index % config.eval_every == 0 or round_index == config.rounds or eval_cache is None:
+        scores = [c.score for c in clients]
         accuracy, per_client, mean_ce = evaluate(
-            [(c.spec, c.params, c.data) for c in clients]
+            [(c.spec, c.params, c.data) for c in clients], scores
         )
+        for c, score in zip(clients, scores):
+            c.score = score
     else:
         accuracy, per_client, mean_ce = eval_cache
 
@@ -529,8 +538,17 @@ def _read_exact(fh, n: int) -> bytes:
     return data
 
 
+def _check_header_field(path: str, field: str, found: int, expected: int):
+    if found != expected:
+        raise CheckpointError(f"{path}: header {field} is {found}, expected {expected}")
+
+
 def load_checkpoint(path: str, config: RunConfig, clients: list[ClientState]) -> ServerState:
-    """Restore server state and client params in place; returns the server."""
+    """Restore server state and client params in place; returns the server.
+
+    Every size in the file is checked against the config and the clients'
+    specs before the data it sizes is read.
+    """
     with open(path, "rb") as fh:
         if _read_exact(fh, 4) != _MAGIC:
             raise CheckpointError(f"{path}: bad magic")
@@ -551,20 +569,28 @@ def load_checkpoint(path: str, config: RunConfig, clients: list[ClientState]) ->
             payload = None
         elif kind == 1:
             gv_version, c, m = struct.unpack("<QQQ", _read_exact(fh, 24))
+            _check_header_field(path, "C", c, config.task.class_count)
+            _check_header_field(path, "M", m, config.vector_dim)
             vectors = np.frombuffer(_read_exact(fh, 8 * c * m), dtype="<f8").reshape(c, m)
             payload = GuidingVectorSet(vectors.copy(), method_space(config.method), gv_version)
         elif kind == 2:
             c, m = struct.unpack("<QQ", _read_exact(fh, 16))
+            _check_header_field(path, "C", c, config.task.class_count)
+            _check_header_field(path, "M", m, config.vector_dim)
             counts = np.frombuffer(_read_exact(fh, 8 * c), dtype="<u8").astype(np.int64)
             vectors = np.frombuffer(_read_exact(fh, 8 * c * m), dtype="<f8").reshape(c, m)
             payload = PrototypeSet(vectors.copy(), counts, method_space(config.method))
         else:
             raise CheckpointError(f"{path}: unknown payload kind {kind}")
         (n_clients,) = struct.unpack("<Q", _read_exact(fh, 8))
-        if n_clients != len(clients):
-            raise CheckpointError(f"{path}: client count mismatch")
+        _check_header_field(path, "n_clients", n_clients, len(clients))
+        flats = []
         for client in clients:
             (p,) = struct.unpack("<Q", _read_exact(fh, 8))
-            flat = np.frombuffer(_read_exact(fh, 8 * p), dtype="<f8")
-            client.params = params_from_flat(client.spec, flat.copy())
+            _check_header_field(
+                path, f"param_count of client {client.index}", p, param_count(client.spec)
+            )
+            flats.append(np.frombuffer(_read_exact(fh, 8 * p), dtype="<f8").copy())
+    for client, flat in zip(clients, flats):
+        client.params = params_from_flat(client.spec, flat)
     return ServerState(seed, config.method, t, payload, min_ce)

@@ -162,10 +162,16 @@ def pseudo_train(
     gset: GuidingVectorSet,
     eta_c: float,
     weight: float = 1.0,
+    study_grad: np.ndarray | None = None,
 ) -> ModelParams:
-    """One non-persisted SGD step on the combined loss; input params untouched."""
-    g = grad_params(spec, params, study_batch, guided_loss_config(gset, weight))
-    return sgd_step(params, g, eta_c)
+    """One non-persisted SGD step on the combined loss; input params untouched.
+
+    ``study_grad``, when given, is that loss's gradient at ``params`` over
+    ``study_batch``, already computed by the caller; it is used as is.
+    """
+    if study_grad is None:
+        study_grad = grad_params(spec, params, study_batch, guided_loss_config(gset, weight))
+    return sgd_step(params, study_grad, eta_c)
 
 
 def guidance_gradient(
@@ -176,6 +182,7 @@ def guidance_gradient(
     gset: GuidingVectorSet,
     eta_c: float,
     weight: float = 1.0,
+    study_grad: np.ndarray | None = None,
 ) -> GuidanceGradient:
     """Exact gradient of the mean quiz ce after pseudo-train w.r.t. each v^y.
 
@@ -183,9 +190,10 @@ def guidance_gradient(
     pseudo-trained parameters; stage 2 pushes that direction through the
     guided map's Jacobians at the pre-step parameters, one JVP per study-batch
     sample, summed per class. Classes absent from the study batch have no
-    dependence path and get zero rows.
+    dependence path and get zero rows. ``study_grad`` is passed on to
+    ``pseudo_train``.
     """
-    theta_prime = pseudo_train(spec, params, study_batch, gset, eta_c, weight)
+    theta_prime = pseudo_train(spec, params, study_batch, gset, eta_c, weight, study_grad)
     quiz_direction = grad_params(spec, theta_prime, quiz, LossConfig(use_ce=True))
 
     jvps = jvp_guided_batch(spec, params, study_batch.inputs, quiz_direction, gset.space)

@@ -32,8 +32,31 @@ class RoundMetrics:
     wall_time: float = 0.0
 
 
+@dataclass(frozen=True)
+class ClientScore:
+    """One client's evaluation, valid for the very ``params`` object scored.
+
+    Every parameter update builds a new ModelParams and a client's data never
+    changes, so a score still holds while the client keeps the same object.
+    """
+
+    params: ModelParams
+    test_hits: int
+    study_ce: float
+
+
+def score_client(spec: ModelSpec, params: ModelParams, data: ClientDataset) -> ClientScore:
+    """Test-set hits and mean study-set cross-entropy of one client model."""
+    _, logits = forward_batch(spec, params, data.test.inputs)
+    hits = int((logits.argmax(axis=1) == data.test.labels).sum())
+    study_batch = MiniBatch(data.study.inputs, data.study.labels)
+    ce = total_loss(spec, params, study_batch, LossConfig(use_ce=True))
+    return ClientScore(params, hits, ce)
+
+
 def evaluate(
     clients: Sequence[tuple[ModelSpec, ModelParams, ClientDataset]],
+    scores: list[ClientScore | None] | None = None,
 ) -> tuple[float, np.ndarray, float]:
     """Test accuracy and study-set ce across clients.
 
@@ -41,7 +64,13 @@ def evaluate(
     Aggregate accuracy is sample-weighted: total correct over total test
     samples. The ce figure is the unweighted mean over clients of each
     client's mean study-set cross-entropy.
+
+    ``scores``, when given, holds each client's last score (None if it has
+    none) and is brought up to date in place: a client is scored again only
+    when its params object is not the one its score was computed for.
     """
+    if scores is None:
+        scores = [None] * len(clients)
     correct = 0
     total = 0
     per_client = np.zeros(len(clients))
@@ -49,14 +78,13 @@ def evaluate(
     for i, (spec, params, data) in enumerate(clients):
         if len(data.test) == 0:
             raise ContractViolation(f"client {i} has an empty test set")
-        _, logits = forward_batch(spec, params, data.test.inputs)
-        pred = logits.argmax(axis=1)
-        hits = int((pred == data.test.labels).sum())
-        per_client[i] = hits / len(data.test)
-        correct += hits
+        score = scores[i]
+        if score is None or score.params is not params:
+            score = scores[i] = score_client(spec, params, data)
+        per_client[i] = score.test_hits / len(data.test)
+        correct += score.test_hits
         total += len(data.test)
-        study_batch = MiniBatch(data.study.inputs, data.study.labels)
-        ce_values[i] = total_loss(spec, params, study_batch, LossConfig(use_ce=True))
+        ce_values[i] = score.study_ce
     return correct / total, per_client, float(ce_values.mean())
 
 

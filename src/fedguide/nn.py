@@ -119,15 +119,20 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> ModelParams:
     return params_from_flat(spec, np.concatenate(chunks))
 
 
-def _affines(spec: ModelSpec, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views (W, b) for every affine block of a flat vector with spec's layout."""
+@lru_cache(maxsize=None)
+def _block_slices(spec: ModelSpec) -> tuple[tuple[slice, tuple[int, int], slice], ...]:
+    """(weight slice, weight shape, bias slice) of every affine block."""
     offsets, _ = _layout(spec)
     blocks = []
     for (fan_in, fan_out), off in zip(affine_dims(spec), offsets):
-        w = vec[off : off + fan_out * fan_in].reshape(fan_out, fan_in)
-        b = vec[off + fan_out * fan_in : off + fan_out * fan_in + fan_out]
-        blocks.append((w, b))
-    return blocks
+        w_end = off + fan_out * fan_in
+        blocks.append((slice(off, w_end), (fan_out, fan_in), slice(w_end, w_end + fan_out)))
+    return tuple(blocks)
+
+
+def _affines(spec: ModelSpec, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Views (W, b) for every affine block of a flat vector with spec's layout."""
+    return [(vec[w].reshape(shape), vec[b]) for w, shape, b in _block_slices(spec)]
 
 
 def _act(name: str, a: np.ndarray) -> np.ndarray:

@@ -1,14 +1,36 @@
-"""Shared test utilities: independent finite-difference oracles and
-random problem instances. The oracles only ever call forward/total_loss,
-never the gradient code they check."""
+"""Shared test utilities: independent finite-difference oracles, random
+problem instances, and the small federated run configuration. The oracles
+only ever call forward/total_loss, never the gradient code they check."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from fedguide import nn
+from fedguide.federation import RunConfig, TaskConfig
 from fedguide.guidance import GuidingVectorSet, pseudo_train
 from fedguide.nn import LossConfig, MiniBatch, ModelParams, ModelSpec
+
+
+SMALL_TASK = TaskConfig(
+    class_count=6, input_dim=8, samples_per_class=60, cluster_spread=0.6, beta=1.0
+)
+
+
+def small_config(method="fedl2g-f", **kwargs) -> RunConfig:
+    """A 6-client, 8-round run on a small synthetic task; seconds to train."""
+    defaults = dict(
+        method=method,
+        n_clients=6,
+        rounds=8,
+        warmup=2,
+        quiz_size=5,
+        seed=3,
+        feature_dim=8,
+        task=SMALL_TASK,
+    )
+    defaults.update(kwargs)
+    return RunConfig(**defaults)
 
 
 def fd_grad_params(

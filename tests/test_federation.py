@@ -1,42 +1,27 @@
 """Orchestration tests: participation sampling, warm-up freezing, schedule
-independence, checkpoint round-trips, and error propagation."""
+independence, checkpoint round-trips, cached evaluation, and error
+propagation."""
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
 
+from fedguide import metrics, nn
 from fedguide.errors import CheckpointError, ConfigError, ContractViolation
 from fedguide.federation import (
-    RunConfig,
-    TaskConfig,
     build_clients,
     build_server,
     config_digest,
+    load_checkpoint,
     run_round,
     run_training,
     sample_participants,
     task_digest,
 )
 
-SMALL_TASK = TaskConfig(
-    class_count=6, input_dim=8, samples_per_class=60, cluster_spread=0.6, beta=1.0
-)
-
-
-def small_config(method="fedl2g-f", **kwargs):
-    defaults = dict(
-        method=method,
-        n_clients=6,
-        rounds=8,
-        warmup=2,
-        quiz_size=5,
-        seed=3,
-        feature_dim=8,
-        task=SMALL_TASK,
-    )
-    defaults.update(kwargs)
-    return RunConfig(**defaults)
+from helpers import SMALL_TASK, small_config
 
 
 def metrics_tuple(m):
@@ -176,6 +161,102 @@ def test_checkpoint_rejects_wrong_config(tmp_path):
     other = small_config(rounds=8, eta_c=0.02)
     with pytest.raises(CheckpointError):
         run_training(other, resume_from=ckpt)
+
+
+def _checkpoint_bytes(tmp_path, cfg, at=2):
+    path = tmp_path / "run.ckpt"
+    run_training(cfg, checkpoint_at=at, checkpoint_path=str(path))
+    return path, bytearray(path.read_bytes())
+
+
+def test_checkpoint_rejects_forged_class_count_before_reading_payload(tmp_path):
+    cfg = small_config(rounds=4)
+    path, blob = _checkpoint_bytes(tmp_path, cfg)
+    # magic | u32 version, u64 seed, u64 t, f64 min_ce | u16 len, digest | u8 kind | u64 version
+    c_offset = 4 + 28 + 2 + len(config_digest(cfg)) + 1 + 8
+    assert struct.unpack_from("<Q", blob, c_offset)[0] == cfg.task.class_count
+    struct.pack_into("<Q", blob, c_offset, 2**60)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match=f"header C is {2**60}, expected 6"):
+        load_checkpoint(str(path), cfg, build_clients(cfg))
+
+
+def test_checkpoint_rejects_wrong_param_count_and_leaves_clients_untouched(tmp_path):
+    cfg = small_config(rounds=4)
+    path, blob = _checkpoint_bytes(tmp_path, cfg)
+    clients = build_clients(cfg)
+    last = clients[-1]
+    offset = len(blob) - 8 * nn.param_count(last.spec) - 8
+    assert struct.unpack_from("<Q", blob, offset)[0] == nn.param_count(last.spec)
+    struct.pack_into("<Q", blob, offset, nn.param_count(last.spec) + 1)
+    path.write_bytes(bytes(blob))
+    before = [c.params for c in clients]
+    with pytest.raises(CheckpointError, match=f"param_count of client {last.index}"):
+        load_checkpoint(str(path), cfg, clients)
+    assert all(c.params is b for c, b in zip(clients, before))
+
+
+def _train_checking_evaluation(cfg, clients, server):
+    """Run rounds to the horizon as run_training does; after every round the
+    reported evaluation must equal, bit for bit, an evaluation from scratch of
+    the clients as they stood at the last evaluated round."""
+    eval_cache = fresh = None
+    while server.t < cfg.rounds:
+        server, m = run_round(server, clients, cfg, eval_cache)
+        eval_cache = (m.accuracy, m.per_client_accuracy, m.mean_ce)
+        if fresh is None or m.round_index % cfg.eval_every == 0 or m.round_index == cfg.rounds:
+            fresh = metrics.evaluate([(c.spec, c.params, c.data) for c in clients])
+        assert m.accuracy == fresh[0], m.round_index
+        assert m.per_client_accuracy.tobytes() == fresh[1].tobytes(), m.round_index
+        assert m.mean_ce == fresh[2], m.round_index
+    return server
+
+
+@pytest.mark.parametrize(
+    "method,overrides",
+    [
+        ("fedl2g-f", dict(rho=0.5, warmup=3)),
+        ("fedl2g-l", dict(rho=0.5, eval_every=3)),
+        ("fedproto", dict(rho=0.4, eval_every=2)),
+        ("local-only", dict(rho=0.5)),
+    ],
+)
+def test_cached_evaluation_equals_fresh_evaluation(method, overrides):
+    cfg = small_config(method, **overrides)
+    _train_checking_evaluation(cfg, build_clients(cfg), build_server(cfg))
+
+
+def test_cached_evaluation_equals_fresh_evaluation_after_resume(tmp_path):
+    cfg = small_config(rho=0.5, warmup=3)
+    path, _ = _checkpoint_bytes(tmp_path, cfg, at=2)
+    clients = build_clients(cfg)
+    server = load_checkpoint(str(path), cfg, clients)
+    assert server.t == 2
+    _train_checking_evaluation(cfg, clients, server)
+
+
+def test_evaluation_scores_only_clients_whose_params_changed(monkeypatch):
+    scored = []
+
+    def counting_forward(spec, params, inputs):
+        scored.append(params)
+        return nn.forward_batch(spec, params, inputs)
+
+    monkeypatch.setattr(metrics, "forward_batch", counting_forward)
+    cfg = small_config(rho=0.5, warmup=2, rounds=6)
+    clients = build_clients(cfg)
+    server = build_server(cfg)
+    last_scored = [None] * cfg.n_clients
+    counts = []
+    while server.t < cfg.rounds:
+        scored.clear()
+        server, _ = run_round(server, clients, cfg)
+        changed = [c.params for c, prev in zip(clients, last_scored) if c.params is not prev]
+        assert len(scored) == len(changed) and all(a is b for a, b in zip(scored, changed))
+        counts.append(len(scored))
+        last_scored = [c.params for c in clients]
+    # all six at first, none in the warm-up round, then the three trained participants
+    assert counts == [6, 0, 3, 3, 3, 3]
 
 
 def test_client_error_carries_index():

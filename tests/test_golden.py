@@ -1,0 +1,56 @@
+"""Byte-identity gate: the metric CSV of a small run of every method must
+not change under refactors or speed-ups.
+
+The digests were recorded before the per-client evaluation cache was added.
+A deliberate numeric change (a new loss, a different data split, another
+reduction order) must re-record them and say why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from fedguide.cli import format_metrics_csv
+from fedguide.federation import run_training
+
+from helpers import small_config
+
+# (method, small_config overrides) -> SHA-256 of format_metrics_csv(history)
+GOLDEN = {
+    ("fedl2g-l", ()): "cc0bebf49eb38ff17ef7979b8e536ed201bcafe3444794a922eb5c73468cdfdd",
+    ("fedl2g-f", ()): "64b2c6335479c09de5ae6363b0aa3750c45f6383e38114c872afc70b01777af4",
+    ("fedproto", ()): "706917773d10277ca8c1b3d0c87e686816c69c94155a6c3fdb86336785d5f607",
+    ("feddistill", ()): "9aaa8d759dd9da392f7eeb049fcece1715799a739d91e067e6fdcd91b3a00591",
+    ("local-only", ()): "066dbe4368712db44ec7a48d6d72ff7a8fb71b3443d50e960d5f56c659e9189f",
+    ("fedl2g-l", (("rho", 0.5), ("eval_every", 3))): (
+        "57b45d7bdf8ffdd3f4d8aaf9b04d5339ade617712b77598c6f684319b3f734e9"
+    ),
+    ("fedl2g-f", (("rho", 0.5), ("eval_every", 3))): (
+        "bb9911dc542b3c8bd64136906f3eb64bf0c252c17abb856036ec0410797a7a6a"
+    ),
+    ("fedproto", (("rho", 0.5), ("eval_every", 3))): (
+        "513eda14b27787e36d88c02c415720e4fd9496cb0c55ec2ce5a458f87e55d21b"
+    ),
+    ("feddistill", (("rho", 0.5), ("eval_every", 3))): (
+        "f8246492d02a5e5cad488377501c89efd47b2c2dd573ce0988a74b83ab8b6bbe"
+    ),
+    ("local-only", (("rho", 0.5), ("eval_every", 3))): (
+        "c69f61595c3ea6a57b808465a9d30df9b693234a2c72400543286efd87f8879f"
+    ),
+}
+
+
+def _case_id(case) -> str:
+    method, overrides = case
+    return "-".join([method, *(f"{k}={v}" for k, v in overrides)])
+
+
+@pytest.mark.parametrize("method,overrides", sorted(GOLDEN), ids=map(_case_id, sorted(GOLDEN)))
+def test_metrics_csv_is_byte_identical(method, overrides):
+    history = run_training(small_config(method, **dict(overrides))).history
+    digest = hashlib.sha256(format_metrics_csv(history).encode()).hexdigest()
+    assert digest == GOLDEN[(method, overrides)], (
+        f"{method} {dict(overrides)}: the metric CSV changed. If the numeric change "
+        "is deliberate, re-record the digests in tests/test_golden.py and log why "
+        "in CHANGES.md."
+    )
