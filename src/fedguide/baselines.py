@@ -111,14 +111,10 @@ def aggregate_prototypes(
     return PrototypeSet(out, total_counts, space)
 
 
-def prototype_loss_config(pset: PrototypeSet, weight: float = 1.0) -> LossConfig:
+def prototype_loss_config(pset: PrototypeSet) -> LossConfig:
     """LossConfig guiding toward prototypes, skipping invalid class rows."""
     return LossConfig(
-        use_ce=True,
-        guide_vectors=pset.vectors,
-        guide_space=pset.space,
-        guide_weight=weight,
-        guide_valid=pset.valid,
+        use_ce=True, guide_vectors=pset.vectors, guide_space=pset.space, guide_valid=pset.valid
     )
 
 
@@ -127,10 +123,9 @@ def baseline_client_loss(
     params: ModelParams,
     batch: MiniBatch,
     pset: PrototypeSet,
-    weight: float = 1.0,
 ) -> float:
     """Mean ce + mse(guided output, g^y), skipping samples with invalid rows."""
-    return total_loss(spec, params, batch, prototype_loss_config(pset, weight))
+    return total_loss(spec, params, batch, prototype_loss_config(pset))
 
 
 def local_only_round(
@@ -141,9 +136,9 @@ def local_only_round(
 ) -> list[ModelParams]:
     """One epoch of pure cross-entropy SGD per client; no communication."""
     cfg = LossConfig(use_ce=True)
-    out = []
-    for (spec, params, study), rng in zip(clients, rngs):
-        out.append(
-            run_sgd_epoch(spec, params, study.inputs, study.labels, cfg, eta_c, batch_size, rng)
-        )
-    return out
+    return [
+        run_sgd_epoch(
+            spec, [params], [study.inputs], [study.labels], cfg, eta_c, batch_size, [rng]
+        )[0]
+        for (spec, params, study), rng in zip(clients, rngs)
+    ]

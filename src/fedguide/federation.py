@@ -5,6 +5,10 @@ Each client's randomness comes from a private stream keyed by
 (seed, purpose, client, round), so rounds can run on any number of worker
 threads and still produce bit-identical results; the server reduces uploads
 in ascending client order at the end of the round.
+
+Participants sharing an architecture and a study-batch size step together:
+each kernel call of a round covers the whole group as one stack, and every
+client's result equals, bit for bit, what it would compute alone.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .guidance import (
     guidance_gradient,
     guided_loss_config,
     init_guiding_vectors,
-    local_train_epoch,
     server_update,
 )
 from .metrics import ClientScore, RoundMetrics, account_bytes, evaluate
@@ -59,6 +62,8 @@ from .nn import (
     param_count,
     params_from_flat,
     run_sgd_epoch,
+    stack_batches,
+    stack_params,
 )
 
 METHODS = ("fedl2g-l", "fedl2g-f", "fedproto", "feddistill", "local-only")
@@ -301,67 +306,85 @@ def _sample_batch(study: Dataset, batch_size: int, gen: np.random.Generator) -> 
     return MiniBatch(study.inputs[idx], study.labels[idx])
 
 
-def _client_work(
+def _loss_config(config: RunConfig, payload: GuidingVectorSet | PrototypeSet | None) -> LossConfig:
+    """The local training loss of the method, toward this round's payload."""
+    if config.method in PROTO_METHODS:
+        return prototype_loss_config(payload)
+    return guided_loss_config(payload)  # pure ce for local-only (no payload)
+
+
+def _check_stackable(members: list[ClientState], round_index: int):
+    """Raise, naming the client, if a member's study set or quiz does not fit
+    its model's input: the group's stacked calls need equal shapes."""
+    for c in members:
+        for part in ("study", "quiz"):
+            data = getattr(c.data, part)
+            expected = (data.labels.shape[0], c.spec.input_dim)
+            if data.inputs.shape != expected:
+                raise ContractViolation(
+                    f"client {c.index} failed in round {round_index}: {part} inputs have "
+                    f"shape {data.inputs.shape}, expected {expected}"
+                )
+
+
+def _group_work(
     config: RunConfig,
     payload: GuidingVectorSet | PrototypeSet | None,
-    client: ClientState,
+    members: list[ClientState],
     round_index: int,
-) -> _ClientResult:
-    """All of one participant's work for a round. Pure in its arguments."""
+) -> list[_ClientResult]:
+    """All of one round's work for participants sharing a spec and a
+    study-batch size: local epoch, telemetry gradient and upload, each step
+    one stacked call over the group. Pure in its arguments."""
     seed = config.seed
-    i = client.index
-    spec, params, data = client.spec, client.params, client.data
-    epoch_rng = rngmod.stream(seed, rngmod.EPOCH, i, round_index)
-    batch_rng = rngmod.stream(seed, rngmod.BATCH, i, round_index)
+    spec = members[0].spec
+    studies = [c.data.study for c in members]
+    loss_cfg = _loss_config(config, payload)
+    params = [c.params for c in members]
+    if config.method not in GUIDED_METHODS or round_index > config.warmup:
+        params = run_sgd_epoch(
+            spec,
+            params,
+            [s.inputs for s in studies],
+            [s.labels for s in studies],
+            loss_cfg,
+            config.eta_c,
+            config.batch_size,
+            [rngmod.stream(seed, rngmod.EPOCH, c.index, round_index) for c in members],
+        )
+    stacked = stack_params(params)
+    batch_rngs = [rngmod.stream(seed, rngmod.BATCH, c.index, round_index) for c in members]
+    batch = stack_batches(
+        [_sample_batch(s, config.batch_size, r) for s, r in zip(studies, batch_rngs)]
+    )
+    g = grad_params(spec, stacked, batch, loss_cfg)
 
     if config.method in GUIDED_METHODS:
-        gset: GuidingVectorSet = payload
-        if round_index > config.warmup:
-            params = local_train_epoch(
-                spec, params, data.study, gset, config.eta_c, epoch_rng, config.batch_size
-            )
-        batch = _sample_batch(data.study, config.batch_size, batch_rng)
-        loss_cfg = guided_loss_config(gset)
-        g = grad_params(spec, params, batch, loss_cfg)
-        upload = guidance_gradient(
-            spec, params, batch, data.quiz, gset, config.eta_c, study_grad=g
+        quiz = stack_batches([c.data.quiz for c in members])
+        uploads = guidance_gradient(
+            spec, stacked, batch, quiz, payload, config.eta_c, study_grad=g
         )
         if config.noise_s > 0 and config.noise_p > 0:
-            noise_rng = rngmod.stream(seed, rngmod.NOISE, i, round_index)
-            upload = add_privacy_noise(upload, config.noise_s, config.noise_p, noise_rng)
+            uploads = [
+                add_privacy_noise(
+                    u,
+                    config.noise_s,
+                    config.noise_p,
+                    rngmod.stream(seed, rngmod.NOISE, c.index, round_index),
+                )
+                for c, u in zip(members, uploads)
+            ]
     elif config.method in PROTO_METHODS:
-        pset: PrototypeSet = payload
-        loss_cfg = prototype_loss_config(pset)
-        params = run_sgd_epoch(
-            spec,
-            params,
-            data.study.inputs,
-            data.study.labels,
-            loss_cfg,
-            config.eta_c,
-            config.batch_size,
-            epoch_rng,
-        )
-        batch = _sample_batch(data.study, config.batch_size, batch_rng)
-        g = grad_params(spec, params, batch, loss_cfg)
-        upload = local_prototypes(spec, params, data.study, config.space)
+        uploads = [
+            local_prototypes(spec, p, s, config.space) for p, s in zip(params, studies)
+        ]
     else:  # local-only
-        loss_cfg = LossConfig(use_ce=True)
-        params = run_sgd_epoch(
-            spec,
-            params,
-            data.study.inputs,
-            data.study.labels,
-            loss_cfg,
-            config.eta_c,
-            config.batch_size,
-            epoch_rng,
-        )
-        batch = _sample_batch(data.study, config.batch_size, batch_rng)
-        g = grad_params(spec, params, batch, loss_cfg)
-        upload = None
+        uploads = [None] * len(members)
 
-    return _ClientResult(i, params, upload, float(g @ g))
+    return [
+        _ClientResult(c.index, p, u, float(g_c @ g_c))
+        for c, p, u, g_c in zip(members, params, uploads, g)
+    ]
 
 
 def run_round(
@@ -381,19 +404,30 @@ def run_round(
     if round_index > config.rounds:
         raise ContractViolation("run_round called past the configured horizon")
     participants = sample_participants(server, config.n_clients, config.rho)
+    # Stacked calls need equal shapes, so a group shares the spec and the
+    # row counts of the sampled study batch and of the quiz; a study set
+    # smaller than batch_size gives a smaller batch and its own group.
+    groups: dict[tuple, list[ClientState]] = {}
+    for i in participants:
+        c = clients[i]
+        key = (c.spec, min(config.batch_size, len(c.data.study)), len(c.data.quiz.labels))
+        groups.setdefault(key, []).append(c)
 
-    def work(i: int) -> _ClientResult:
+    def work(members: list[ClientState]) -> list[_ClientResult]:
+        _check_stackable(members, round_index)
         try:
-            return _client_work(config, server.payload, clients[i], round_index)
+            return _group_work(config, server.payload, members, round_index)
         except Exception as exc:
-            raise ContractViolation(f"client {i} failed in round {round_index}: {exc}") from exc
+            who = ", ".join(str(c.index) for c in members)
+            label = "client" if len(members) == 1 else "clients"
+            raise ContractViolation(f"{label} {who} failed in round {round_index}: {exc}") from exc
 
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(work, participants))
+            per_group = list(pool.map(work, groups.values()))
     else:
-        results = [work(i) for i in participants]
-    results.sort(key=lambda r: r.index)
+        per_group = [work(members) for members in groups.values()]
+    results = sorted((r for rs in per_group for r in rs), key=lambda r: r.index)
 
     for r in results:
         clients[r.index].params = r.params

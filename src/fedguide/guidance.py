@@ -109,16 +109,11 @@ class GuidanceConfig:
             raise ContractViolation(f"unknown space {self.space!r}")
 
 
-def guided_loss_config(gset: GuidingVectorSet | None, weight: float = 1.0) -> LossConfig:
+def guided_loss_config(gset: GuidingVectorSet | None) -> LossConfig:
     """LossConfig for ce plus guidance toward ``gset`` (pure ce when None)."""
     if gset is None:
         return LossConfig(use_ce=True)
-    return LossConfig(
-        use_ce=True,
-        guide_vectors=gset.vectors,
-        guide_space=gset.space,
-        guide_weight=weight,
-    )
+    return LossConfig(use_ce=True, guide_vectors=gset.vectors, guide_space=gset.space)
 
 
 def client_total_loss(
@@ -126,10 +121,9 @@ def client_total_loss(
     params: ModelParams,
     batch: MiniBatch,
     gset: GuidingVectorSet,
-    weight: float = 1.0,
 ) -> float:
-    """Mean over the batch of ce(logits, y) + weight * mse(guided_output, v^y)."""
-    return total_loss(spec, params, batch, guided_loss_config(gset, weight))
+    """Mean over the batch of ce(logits, y) + mse(guided_output, v^y)."""
+    return total_loss(spec, params, batch, guided_loss_config(gset))
 
 
 def local_train_epoch(
@@ -140,19 +134,18 @@ def local_train_epoch(
     eta_c: float,
     rng: np.random.Generator,
     batch_size: int = 10,
-    weight: float = 1.0,
 ) -> ModelParams:
-    """One epoch of SGD on the study set with the combined loss.
+    """One client's epoch of SGD on its study set with the combined loss.
 
     Passing ``gset=None`` trains on pure cross-entropy (the local-only and
     diagnostic mode). Runs floor(|study| / batch_size) steps.
     """
     if len(study) == 0:
         raise ContractViolation("study set is empty")
-    cfg = guided_loss_config(gset, weight)
+    cfg = guided_loss_config(gset)
     return run_sgd_epoch(
-        spec, params, study.inputs, study.labels, cfg, eta_c, batch_size, rng
-    )
+        spec, [params], [study.inputs], [study.labels], cfg, eta_c, batch_size, [rng]
+    )[0]
 
 
 def pseudo_train(
@@ -161,16 +154,16 @@ def pseudo_train(
     study_batch: MiniBatch,
     gset: GuidingVectorSet,
     eta_c: float,
-    weight: float = 1.0,
     study_grad: np.ndarray | None = None,
 ) -> ModelParams:
     """One non-persisted SGD step on the combined loss; input params untouched.
 
     ``study_grad``, when given, is that loss's gradient at ``params`` over
-    ``study_batch``, already computed by the caller; it is used as is.
+    ``study_batch``, already computed by the caller; it is used as is. Takes
+    a stack of clients as ``grad_params`` does.
     """
     if study_grad is None:
-        study_grad = grad_params(spec, params, study_batch, guided_loss_config(gset, weight))
+        study_grad = grad_params(spec, params, study_batch, guided_loss_config(gset))
     return sgd_step(params, study_grad, eta_c)
 
 
@@ -181,9 +174,8 @@ def guidance_gradient(
     quiz: MiniBatch,
     gset: GuidingVectorSet,
     eta_c: float,
-    weight: float = 1.0,
     study_grad: np.ndarray | None = None,
-) -> GuidanceGradient:
+) -> GuidanceGradient | list[GuidanceGradient]:
     """Exact gradient of the mean quiz ce after pseudo-train w.r.t. each v^y.
 
     Stage 1 takes one reverse pass for the quiz ce gradient at the
@@ -191,21 +183,28 @@ def guidance_gradient(
     guided map's Jacobians at the pre-step parameters, one JVP per study-batch
     sample, summed per class. Classes absent from the study batch have no
     dependence path and get zero rows. ``study_grad`` is passed on to
-    ``pseudo_train``.
+    ``pseudo_train``. Given a stack of k clients (stacked params, study
+    batches and quizzes), returns the list of their k gradients.
     """
-    theta_prime = pseudo_train(spec, params, study_batch, gset, eta_c, weight, study_grad)
+    theta_prime = pseudo_train(spec, params, study_batch, gset, eta_c, study_grad)
     quiz_direction = grad_params(spec, theta_prime, quiz, LossConfig(use_ce=True))
 
     jvps = jvp_guided_batch(spec, params, study_batch.inputs, quiz_direction, gset.space)
-    n = len(study_batch)
-    m = gset.dim
-    scale = 2.0 * eta_c * weight / (m * n)
+    labels = study_batch.labels
+    scale = 2.0 * eta_c / (gset.dim * labels.shape[-1])
+    if labels.ndim == 1:
+        return _sum_per_class(jvps, labels, scale, gset)
+    return [_sum_per_class(j, y, scale, gset) for j, y in zip(jvps, labels)]
 
+
+def _sum_per_class(
+    jvps: np.ndarray, labels: np.ndarray, scale: float, gset: GuidingVectorSet
+) -> GuidanceGradient:
+    """One client's JVP rows summed per study-batch class, times ``scale``."""
     per_class = np.zeros_like(gset.vectors)
     present = np.zeros(gset.class_count, dtype=bool)
-    for y in np.unique(study_batch.labels):
-        rows = jvps[study_batch.labels == y]
-        per_class[y] = scale * rows.sum(axis=0)
+    for y in np.unique(labels):
+        per_class[y] = scale * jvps[labels == y].sum(axis=0)
         present[y] = True
     return GuidanceGradient(per_class, present)
 

@@ -10,12 +10,21 @@ blocks are views into it, so unpacking is free and serialization trivial.
 
 All functions here are pure: they never mutate their inputs and are safe to
 call from many threads at once.
+
+The gradient kernels are rank-polymorphic: given a stack of k clients of one
+architecture (``params.flat`` (k, P), inputs (k, n, d), labels (k, n)) they
+return k results, and slice j equals, bit for bit, the call on client j
+alone. Each product is one stacked ``np.matmul`` over equal-shaped slices,
+which computes every slice exactly as the unstacked 2-D product does; rows
+of different sizes are never padded or concatenated, because a BLAS row
+result can depend on the row count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -84,7 +93,8 @@ class ModelParams:
     """Flat float64 parameter vector plus the block layout that addresses it.
 
     ``flat[offsets[i]:offsets[i+1]]`` is affine block i (weights row-major,
-    then biases); ``flat[:extractor_end]`` is exactly the extractor.
+    then biases); ``flat[:extractor_end]`` is exactly the extractor. A stack
+    of k same-spec clients has ``flat`` of shape (k, P) (see stack_params).
     """
 
     flat: np.ndarray
@@ -130,9 +140,27 @@ def _block_slices(spec: ModelSpec) -> tuple[tuple[slice, tuple[int, int], slice]
     return tuple(blocks)
 
 
+def stack_params(params: Sequence[ModelParams]) -> ModelParams:
+    """The parameters of same-spec clients as one (k, P) stack."""
+    first = params[0]
+    return ModelParams(np.stack([p.flat for p in params]), first.offsets, first.extractor_end)
+
+
 def _affines(spec: ModelSpec, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views (W, b) for every affine block of a flat vector with spec's layout."""
-    return [(vec[w].reshape(shape), vec[b]) for w, shape, b in _block_slices(spec)]
+    """Views (W, b) for every affine block of a flat vector with spec's layout,
+    or of each row of a (k, P) stack: W (..., fan_out, fan_in), b (..., fan_out)."""
+    lead = vec.shape[:-1]
+    return [(vec[..., w].reshape(lead + shape), vec[..., b]) for w, shape, b in _block_slices(spec)]
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix of a stack (of a lone matrix too)."""
+    return a.swapaxes(-1, -2)
+
+
+def _linear(z: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """z @ W^T + b, per slice when all three carry a leading stack axis."""
+    return z @ _t(w) + b[..., None, :]
 
 
 def _act(name: str, a: np.ndarray) -> np.ndarray:
@@ -151,25 +179,32 @@ def _act_deriv(name: str, a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MiniBatch:
-    """One batch of inputs with integer labels."""
+    """One batch of inputs with integer labels, or a stack of k equal-sized
+    batches, one per client of a group (see stack_batches)."""
 
-    inputs: np.ndarray  # (n, input_dim)
-    labels: np.ndarray  # (n,) ints
+    inputs: np.ndarray  # (n, input_dim), or (k, n, input_dim) stacked
+    labels: np.ndarray  # (n,) ints, or (k, n) stacked
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.inputs.ndim != 2 or self.labels.ndim != 1:
-            raise ContractViolation("MiniBatch expects 2-D inputs and 1-D labels")
-        if self.inputs.shape[0] != self.labels.shape[0]:
+        if self.inputs.ndim not in (2, 3) or self.labels.ndim != self.inputs.ndim - 1:
+            raise ContractViolation("MiniBatch expects 2-D inputs and 1-D labels, or stacks")
+        if self.inputs.shape[:-1] != self.labels.shape:
             raise ContractViolation("MiniBatch inputs/labels length mismatch")
-        if self.inputs.shape[0] < 1:
+        if self.labels.size < 1:
             raise ContractViolation("MiniBatch must be nonempty")
-        if self.labels.size and self.labels.min() < 0:
+        if self.labels.min() < 0:
             raise ContractViolation("MiniBatch labels must be nonnegative")
 
     def __len__(self) -> int:
+        """Samples in a batch; batches (k) in a stack."""
         return self.inputs.shape[0]
+
+
+def stack_batches(batches: Sequence[MiniBatch]) -> MiniBatch:
+    """Equal-sized batches of a group's clients as one stacked batch."""
+    return MiniBatch(np.stack([b.inputs for b in batches]), np.stack([b.labels for b in batches]))
 
 
 def forward_batch(
@@ -184,11 +219,9 @@ def forward_batch(
     blocks = _affines(spec, params.flat)
     z = x
     for w, b in blocks[: spec.depth]:
-        z = _act(spec.activation, z @ w.T + b)
-    w_f, b_f = blocks[spec.depth]
-    features = z @ w_f.T + b_f
-    w_h, b_h = blocks[spec.depth + 1]
-    logits = features @ w_h.T + b_h
+        z = _act(spec.activation, _linear(z, w, b))
+    features = _linear(z, *blocks[spec.depth])
+    logits = _linear(features, *blocks[spec.depth + 1])
     return features, logits
 
 
@@ -253,9 +286,9 @@ def _ce_rows(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _check_labels(labels: np.ndarray, class_count: int):
@@ -285,18 +318,26 @@ def total_loss(spec: ModelSpec, params: ModelParams, batch: MiniBatch, cfg: Loss
     return loss
 
 
+def _check_stack(params: ModelParams, x: np.ndarray, spec: ModelSpec, what: str):
+    """Inputs must be (n, d) for one client or (k, n, d) for a stack of k."""
+    lead = params.flat.shape[:-1]
+    if x.ndim != len(lead) + 2 or x.shape[:-2] != lead or x.shape[-1] != spec.input_dim:
+        expected = ", ".join([*map(str, lead), "n", str(spec.input_dim)])
+        raise ContractViolation(f"{what} have shape {x.shape}, expected ({expected})")
+
+
 def grad_params(
     spec: ModelSpec, params: ModelParams, batch: MiniBatch, cfg: LossConfig
 ) -> np.ndarray:
     """Exact reverse-mode gradient of the mean combined loss over the batch.
 
-    Returns a flat P-vector in the same layout as ``params.flat``.
+    Returns a flat P-vector in the same layout as ``params.flat``; for a
+    stack of k clients and k batches, the (k, P) stack of their gradients.
     """
     _check_labels(batch.labels, spec.class_count)
     x = batch.inputs
-    if x.shape[1] != spec.input_dim:
-        raise ContractViolation(f"batch input dim {x.shape[1]} != spec {spec.input_dim}")
-    n = len(batch)
+    _check_stack(params, x, spec, "batch inputs")
+    n = batch.labels.shape[-1]
     blocks = _affines(spec, params.flat)
 
     # Forward, caching pre-activations of hidden layers and all layer inputs.
@@ -304,58 +345,63 @@ def grad_params(
     pre_acts = []
     z = x
     for w, b in blocks[: spec.depth]:
-        a = z @ w.T + b
+        a = _linear(z, w, b)
         pre_acts.append(a)
         z = _act(spec.activation, a)
         layer_inputs.append(z)
     w_f, b_f = blocks[spec.depth]
-    features = z @ w_f.T + b_f
+    features = _linear(z, w_f, b_f)
     w_h, b_h = blocks[spec.depth + 1]
-    logits = features @ w_h.T + b_h
+    logits = _linear(features, w_h, b_h)
 
     # Output-side gradients of the mean loss.
-    d_logits = np.zeros_like(logits)
-    d_features_direct = np.zeros_like(features)
     if cfg.use_ce:
         probs = _softmax(logits)
-        probs[np.arange(n), batch.labels] -= 1.0
-        d_logits += probs / n
+        rows = probs.reshape(-1, probs.shape[-1])  # a view: probs is fresh
+        rows[np.arange(rows.shape[0]), batch.labels.reshape(-1)] -= 1.0
+        d_logits = probs / n
+    else:
+        d_logits = np.zeros_like(logits)
+    d_features_direct = np.zeros_like(features)
     if cfg.guide_vectors is not None:
         guided = logits if cfg.guide_space == "logit" else features
         targets = cfg.guide_vectors[batch.labels]
-        if guided.shape[1] != targets.shape[1]:
+        if guided.shape[-1] != targets.shape[-1]:
             raise ContractViolation(
-                f"guide vectors have dim {targets.shape[1]}, guided output {guided.shape[1]}"
+                f"guide vectors have dim {targets.shape[-1]}, guided output {guided.shape[-1]}"
             )
-        m = targets.shape[1]
+        m = targets.shape[-1]
         d_guided = (2.0 * cfg.guide_weight / (m * n)) * (guided - targets)
         if cfg.guide_valid is not None:
-            d_guided = d_guided * cfg.guide_valid[batch.labels][:, None]
+            d_guided = d_guided * cfg.guide_valid[batch.labels][..., None]
         if cfg.guide_space == "logit":
             d_logits += d_guided
         else:
             d_features_direct += d_guided
 
-    grad = np.zeros_like(params.flat)
+    # Each block's gradient is written straight into its slice of ``grad``;
+    # the blocks tile the vector, so every entry is written once.
+    grad = np.empty_like(params.flat)
     g_blocks = _affines(spec, grad)
 
     gw_h, gb_h = g_blocks[spec.depth + 1]
-    gw_h += d_logits.T @ features
-    gb_h += d_logits.sum(axis=0)
+    np.matmul(_t(d_logits), features, out=gw_h)
+    np.sum(d_logits, axis=-2, out=gb_h)
     d_features = d_logits @ w_h + d_features_direct
 
     gw_f, gb_f = g_blocks[spec.depth]
-    gw_f += d_features.T @ layer_inputs[spec.depth]
-    gb_f += d_features.sum(axis=0)
+    np.matmul(_t(d_features), layer_inputs[spec.depth], out=gw_f)
+    np.sum(d_features, axis=-2, out=gb_f)
     d_z = d_features @ w_f
 
     for l in range(spec.depth - 1, -1, -1):
         d_a = d_z * _act_deriv(spec.activation, pre_acts[l])
         gw, gb = g_blocks[l]
-        gw += d_a.T @ layer_inputs[l]
-        gb += d_a.sum(axis=0)
+        np.matmul(_t(d_a), layer_inputs[l], out=gw)
+        np.sum(d_a, axis=-2, out=gb)
         d_z = d_a @ blocks[l][0]
 
+    grad += 0.0  # -0.0 to +0.0, as accumulating into a zeroed buffer does
     return grad
 
 
@@ -371,7 +417,9 @@ def jvp_guided_batch(
     The guided map is the full network (space "logit") or the extractor alone
     (space "feature"). Tangents propagate forward alongside the values, so
     one pass yields J_g(x, params) @ direction for every row of ``inputs``.
-    Head coordinates of ``direction`` are never read in feature space.
+    Head coordinates of ``direction`` are never read in feature space. For a
+    stack of k clients, ``direction`` is (k, P), ``inputs`` (k, n, d), and the
+    result (k, n, M).
     """
     if space not in ("logit", "feature"):
         raise ContractViolation(f"unknown guide space {space!r}")
@@ -381,27 +429,24 @@ def jvp_guided_batch(
             f"direction has shape {direction.shape}, params {params.flat.shape}"
         )
     x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ContractViolation(
-            f"inputs have shape {x.shape}, spec expects (*, {spec.input_dim})"
-        )
+    _check_stack(params, x, spec, "inputs")
     blocks = _affines(spec, params.flat)
     d_blocks = _affines(spec, direction)
 
     z = x
     dz = np.zeros_like(x)
     for (w, b), (dw, db) in zip(blocks[: spec.depth], d_blocks[: spec.depth]):
-        a = z @ w.T + b
-        da = dz @ w.T + z @ dw.T + db
+        a = _linear(z, w, b)
+        da = dz @ _t(w) + z @ _t(dw) + db[..., None, :]
         dz = _act_deriv(spec.activation, a) * da
         z = _act(spec.activation, a)
     (w_f, b_f), (dw_f, db_f) = blocks[spec.depth], d_blocks[spec.depth]
-    features = z @ w_f.T + b_f
-    d_features = dz @ w_f.T + z @ dw_f.T + db_f
+    features = _linear(z, w_f, b_f)
+    d_features = dz @ _t(w_f) + z @ _t(dw_f) + db_f[..., None, :]
     if space == "feature":
         return d_features
-    (w_h, b_h), (dw_h, db_h) = blocks[spec.depth + 1], d_blocks[spec.depth + 1]
-    return d_features @ w_h.T + features @ dw_h.T + db_h
+    (w_h, _), (dw_h, db_h) = blocks[spec.depth + 1], d_blocks[spec.depth + 1]
+    return d_features @ _t(w_h) + features @ _t(dw_h) + db_h[..., None, :]
 
 
 def jvp_guided_output(
@@ -428,25 +473,52 @@ def sgd_step(params: ModelParams, gradient: np.ndarray, eta_c: float) -> ModelPa
 
 def run_sgd_epoch(
     spec: ModelSpec,
-    params: ModelParams,
-    inputs: np.ndarray,
-    labels: np.ndarray,
+    params: Sequence[ModelParams],
+    inputs: Sequence[np.ndarray],
+    labels: Sequence[np.ndarray],
     cfg: LossConfig,
     eta_c: float,
     batch_size: int,
-    rng: np.random.Generator,
-) -> ModelParams:
-    """floor(n / batch_size) SGD steps on shuffled batches; drops the remainder."""
-    n = inputs.shape[0]
-    steps = n // batch_size
-    if steps == 0:
-        return params
-    perm = rng.permutation(n)
-    for s in range(steps):
-        idx = perm[s * batch_size : (s + 1) * batch_size]
-        batch = MiniBatch(inputs[idx], labels[idx])
-        params = sgd_step(params, grad_params(spec, params, batch, cfg), eta_c)
-    return params
+    rngs: Sequence[np.random.Generator],
+) -> list[ModelParams]:
+    """One local epoch for each client of a same-spec group, in lockstep.
+
+    Client j takes floor(n_j / batch_size) SGD steps on shuffled batches of
+    its own samples (``inputs[j]``, ``labels[j]``, permuted by ``rngs[j]``)
+    and drops the remainder. Clients are stacked by step count, most first,
+    so those still stepping at step s are a prefix of the stack, and each
+    step is one stacked gradient and one in-place update of that prefix.
+    Returns new params in input order; a client that takes no step gets its
+    own ``params`` object back.
+    """
+    steps = [x.shape[0] // batch_size for x in inputs]
+    order = sorted((j for j in range(len(params)) if steps[j] > 0), key=lambda j: -steps[j])
+    out = list(params)
+    if not order:
+        return out
+    # Every client's batches in step order, laid out once: xs[row, s] is the
+    # batch of stack row ``row`` at step s (rows past its last step unused).
+    shape = (len(order), steps[order[0]], batch_size)
+    xs = np.zeros(shape + inputs[order[0]].shape[1:])
+    ys = np.zeros(shape, dtype=np.int64)
+    for row, j in enumerate(order):
+        used = rngs[j].permutation(inputs[j].shape[0])[: steps[j] * batch_size]
+        xs[row, : steps[j]] = inputs[j][used].reshape(steps[j], batch_size, -1)
+        ys[row, : steps[j]] = labels[j][used].reshape(steps[j], batch_size)
+    stacked = stack_params([params[j] for j in order])
+    flat = stacked.flat
+    active = len(order)
+    for s in range(shape[1]):
+        while steps[order[active - 1]] <= s:
+            active -= 1
+        prefix = ModelParams(flat[:active], stacked.offsets, stacked.extractor_end)
+        batch = MiniBatch(xs[:active, s], ys[:active, s])
+        flat[:active] -= eta_c * grad_params(spec, prefix, batch, cfg)
+    for row, j in enumerate(order):
+        # A copy, so a client that sits out later rounds does not keep the
+        # whole group's stack alive.
+        out[j] = ModelParams(flat[row].copy(), stacked.offsets, stacked.extractor_end)
+    return out
 
 
 def family_spec(

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from fedguide import metrics, nn
+from fedguide import federation, metrics, nn
 from fedguide.errors import CheckpointError, ConfigError, ContractViolation
 from fedguide.federation import (
     build_clients,
@@ -268,6 +268,27 @@ def test_client_error_carries_index():
     bad.data.quiz.inputs = bad.data.quiz.inputs[:, :4]
     with pytest.raises(ContractViolation, match="client 3"):
         run_round(server, clients, cfg)
+
+
+def test_bad_client_in_a_group_is_named_alone():
+    cfg = small_config(rounds=1, warmup=0)
+    clients = build_clients(cfg)
+    # client 5 shares variant 0 with client 0; only its quiz is corrupt
+    bad = clients[5]
+    bad.data.quiz.inputs = bad.data.quiz.inputs[:, :4]
+    with pytest.raises(ContractViolation, match=r"^client 5 failed in round 1: quiz inputs"):
+        run_round(build_server(cfg), clients, cfg)
+
+
+def test_error_in_a_stacked_call_names_every_client_of_the_group(monkeypatch):
+    # clients 0 and 5 share variant 0 and a full study batch, so they step as one group
+    def failing(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(federation, "guidance_gradient", failing)
+    cfg = small_config(rounds=1, warmup=0)
+    with pytest.raises(ContractViolation, match=r"clients 0, 5 failed in round 1: boom"):
+        run_round(build_server(cfg), build_clients(cfg), cfg)
 
 
 def test_config_validation_errors_name_fields():

@@ -130,6 +130,23 @@ def test_guidance_gradient_matches_oracle(seed, space, feature_dim):
     assert rel_error(pi.per_class, fd) <= 1e-5
 
 
+@pytest.mark.parametrize("space", ["logit", "feature"])
+def test_stacked_guidance_gradient_equals_each_client_alone(space):
+    spec = nn.family_spec(2, 4, 5, 3)
+    rng = stream(8, 0)
+    gset = GuidingVectorSet(0.3 * rng.standard_normal((3, 3 if space == "logit" else 5)), space)
+    params = [nn.init_params(spec, stream(8, 3, j)) for j in range(3)]
+    batches = [MiniBatch(rng.standard_normal((6, 4)), rng.integers(0, 3, 6)) for _ in range(3)]
+    quizzes = [MiniBatch(rng.standard_normal((4, 4)), rng.integers(0, 3, 4)) for _ in range(3)]
+    stacked_params = nn.stack_params(params)
+    batch, quiz = nn.stack_batches(batches), nn.stack_batches(quizzes)
+    stacked = guidance_gradient(spec, stacked_params, batch, quiz, gset, 0.05)
+    for p, b, q, g in zip(params, batches, quizzes, stacked):
+        alone = guidance_gradient(spec, p, b, q, gset, 0.05)
+        assert g.per_class.tobytes() == alone.per_class.tobytes()
+        assert np.array_equal(g.present, alone.present)
+
+
 def test_guidance_gradient_absent_class_zero_row():
     spec, params, batch, quiz, gset, _ = make_instance(7)
     keep = batch.labels != 2

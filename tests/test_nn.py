@@ -251,3 +251,89 @@ def test_family_spec_assignment_rule():
     assert specs[1].hidden_widths == specs[6].hidden_widths
     assert len({s.hidden_widths for s in specs[:5]}) == 5
     assert all(s.feature_dim == 16 and s.class_count == 10 for s in specs)
+
+
+def _guide_config(mode, spec, rng):
+    """Loss configs of the engine's methods: ce, feature/logit guidance, and
+    prototype-style guidance with invalid rows masked out."""
+    if mode == "ce":
+        return LossConfig(use_ce=True)
+    space = "logit" if mode == "logit" else "feature"
+    m = spec.class_count if space == "logit" else spec.feature_dim
+    valid = np.arange(spec.class_count) % 3 != 0 if mode == "masked" else None
+    return LossConfig(
+        use_ce=True,
+        guide_vectors=rng.standard_normal((spec.class_count, m)),
+        guide_space=space,
+        guide_valid=valid,
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("mode", ["ce", "feature", "logit", "masked"])
+@pytest.mark.parametrize("variant", range(len(nn.DEFAULT_HIDDEN_FAMILY)))
+def test_stacked_kernels_equal_unstacked_bitwise(variant, mode, k):
+    spec = nn.family_spec(variant, 32, 32, 10)
+    rng = stream(variant, 11, k)
+    cfg = _guide_config(mode, spec, rng)
+    space = "logit" if mode in ("ce", "logit") else "feature"
+    clients = [nn.init_params(spec, stream(variant, 3, j)) for j in range(k)]
+    batches = [MiniBatch(rng.standard_normal((10, 32)), rng.integers(0, 10, 10)) for _ in range(k)]
+    directions = rng.standard_normal((k, nn.param_count(spec)))
+    stacked = nn.stack_params(clients)
+    batch = nn.stack_batches(batches)
+    grads = nn.grad_params(spec, stacked, batch, cfg)
+    jvps = nn.jvp_guided_batch(spec, stacked, batch.inputs, directions, space)
+    assert grads.shape == (k, nn.param_count(spec))
+    for j in range(k):
+        assert grads[j].tobytes() == nn.grad_params(spec, clients[j], batches[j], cfg).tobytes()
+        alone = nn.jvp_guided_batch(spec, clients[j], batches[j].inputs, directions[j], space)
+        assert jvps[j].tobytes() == alone.tobytes()
+
+
+def test_stacked_kernels_reject_mismatched_stacks():
+    spec = nn.family_spec(0, 4, 3, 2)
+    stacked = nn.stack_params([nn.init_params(spec, stream(0, 3, j)) for j in range(2)])
+    three = MiniBatch(np.zeros((3, 5, 4)), np.zeros((3, 5), dtype=int))
+    with pytest.raises(ContractViolation, match=r"expected \(2, n, 4\)"):
+        nn.grad_params(spec, stacked, three, LossConfig())
+    with pytest.raises(ContractViolation, match=r"expected \(2, n, 4\)"):
+        nn.jvp_guided_batch(spec, stacked, np.zeros((5, 4)), np.zeros_like(stacked.flat), "logit")
+
+
+def _epoch_one_client_at_a_time(spec, params, inputs, labels, cfg, eta_c, batch_size, rng):
+    """Reference loop: one client's epoch, one unstacked SGD step at a time."""
+    steps = inputs.shape[0] // batch_size
+    if steps == 0:
+        return params
+    perm = rng.permutation(inputs.shape[0])
+    for s in range(steps):
+        idx = perm[s * batch_size : (s + 1) * batch_size]
+        g = nn.grad_params(spec, params, MiniBatch(inputs[idx], labels[idx]), cfg)
+        params = nn.sgd_step(params, g, eta_c)
+    return params
+
+
+@pytest.mark.parametrize("mode", ["ce", "masked"])
+def test_lockstep_epoch_equals_each_client_alone(mode):
+    spec = nn.family_spec(3, 8, 6, 4)
+    rng = stream(5, 12)
+    cfg = _guide_config(mode, spec, rng)
+    sizes = [5, 35, 13, 70]  # 0, 3, 1 and 7 steps of 10, deliberately unsorted
+    params = [nn.init_params(spec, stream(5, 3, j)) for j in range(len(sizes))]
+    inputs = [rng.standard_normal((n, 8)) for n in sizes]
+    labels = [rng.integers(0, 4, n) for n in sizes]
+    rngs = [stream(5, 6, j) for j in range(len(sizes))]
+
+    out = nn.run_sgd_epoch(spec, params, inputs, labels, cfg, 0.05, 10, rngs)
+    assert out[0] is params[0]  # no step: the very same object comes back
+    for j in range(len(sizes)):
+        expected = _epoch_one_client_at_a_time(
+            spec, params[j], inputs[j], labels[j], cfg, 0.05, 10, stream(5, 6, j)
+        )
+        assert out[j].flat.tobytes() == expected.flat.tobytes(), j
+        alone = nn.run_sgd_epoch(
+            spec, [params[j]], [inputs[j]], [labels[j]], cfg, 0.05, 10, [stream(5, 6, j)]
+        )
+        assert alone[0].flat.tobytes() == out[j].flat.tobytes(), j
+    assert all(not np.array_equal(o.flat, p.flat) for o, p in zip(out[1:], params[1:]))

@@ -1,0 +1,43 @@
+"""Contract between the engine and the benchmark's traced run.
+
+``perfbench/tracing.py`` wraps engine functions by name and reads their
+arguments; a renamed or bypassed function silently empties its per-layer
+metrics, and a zero ``grad_params`` count breaks the duplicate-gradient
+ratio. This imports the harness module unmodified and runs every method
+under its Tracer and DupCounter, as ``perfbench/run.py --trace 1`` does.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from fedguide.federation import GUIDED_METHODS, METHODS, run_training
+
+from helpers import small_config
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import tracing  # noqa: E402
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_traced_run_calls_every_traced_layer(method):
+    cfg = small_config(method, rounds=4)
+    tracer = tracing.Tracer()
+    with tracing.Patch() as patch:
+        tracer.install(patch)
+        run_training(cfg)
+    counter = tracing.DupCounter()
+    with tracing.Patch() as patch:
+        assert counter.install(patch)
+        run_training(cfg)
+
+    metrics = tracer.metrics()
+    tracer.kernel_table()
+    called = ["nn.grad_params", "nn.forward_batch", "nn.run_sgd_epoch", "metrics.evaluate"]
+    if method in GUIDED_METHODS:
+        called += ["nn.jvp_guided_batch", "guidance.guidance_gradient", "guidance.server_update"]
+    for name in called:
+        assert name in tracer.wrapped, name
+        assert metrics[f"{name}.calls"] > 0, name
+    assert counter.calls > 0
