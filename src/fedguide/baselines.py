@@ -20,7 +20,6 @@ from .nn import (
     MiniBatch,
     ModelParams,
     ModelSpec,
-    forward_batch,
     run_sgd_epoch,
     total_loss,
 )
@@ -68,18 +67,21 @@ def empty_prototypes(class_count: int, dim: int, space: str) -> PrototypeSet:
 
 
 def local_prototypes(
-    spec: ModelSpec, params: ModelParams, study: Dataset, space: str
+    study: Dataset, outputs: tuple[np.ndarray, np.ndarray], space: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-class mean of the guided outputs over a client's study samples.
 
-    Absent classes get zero rows with count 0.
+    ``outputs`` are the model's (features, logits) on ``study.inputs``, as
+    ``forward_batch`` returns them. Absent classes get zero rows with count 0.
     """
     if len(study) == 0:
         raise ContractViolation("study set is empty")
     if space not in SPACES:
         raise ContractViolation(f"unknown space {space!r}")
-    features, logits = forward_batch(spec, params, study.inputs)
+    features, logits = outputs
     out = logits if space == "logit" else features
+    if out.shape[0] != len(study):
+        raise ContractViolation(f"{out.shape[0]} output rows for {len(study)} study samples")
     C = study.class_count
     vectors = np.zeros((C, out.shape[1]))
     counts = np.zeros(C, dtype=np.int64)

@@ -21,6 +21,7 @@ from .federation import (
     METHODS,
     RunConfig,
     TaskConfig,
+    atomic_open,
     config_digest,
     run_training,
     task_digest,
@@ -299,13 +300,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
         histories.append(result.history)
         name = f"metrics_{config.run.method}_run{i:02d}_seed{seed}.csv"
         path = os.path.join(config.out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(format_metrics_csv(result.history))
         metric_files.append(name)
     summary = build_summary(config.run, config.seeds, histories)
     summary["metric_files"] = metric_files
     summary_path = os.path.join(config.out_dir, f"summary_{config.run.method}.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    with atomic_open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary
@@ -384,10 +385,10 @@ def _cmd_compare(argv: list[str]) -> int:
     print(text, end="")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "comparison.json"), "w", encoding="utf-8") as fh:
+        with atomic_open(os.path.join(args.out, "comparison.json"), "w", encoding="utf-8") as fh:
             json.dump(rows, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        with open(os.path.join(args.out, "comparison.txt"), "w", encoding="utf-8") as fh:
+        with atomic_open(os.path.join(args.out, "comparison.txt"), "w", encoding="utf-8") as fh:
             fh.write(text)
     return 0
 

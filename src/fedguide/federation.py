@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -50,13 +52,14 @@ from .guidance import (
     init_guiding_vectors,
     server_update,
 )
-from .metrics import ClientScore, RoundMetrics, account_bytes, evaluate
+from .metrics import ClientScore, RoundMetrics, account_bytes, evaluate, study_cross_entropy
 from .nn import (
     LossConfig,
     MiniBatch,
     ModelParams,
     ModelSpec,
     family_spec,
+    forward_batch,
     grad_params,
     init_params,
     param_count,
@@ -298,6 +301,8 @@ class _ClientResult:
     params: ModelParams
     upload: GuidanceGradient | tuple[np.ndarray, np.ndarray] | None
     grad_norm_sq: float
+    # The new params' study ce, when the round's own study forward gave it.
+    study_ce: float | None = None
 
 
 def _sample_batch(study: Dataset, batch_size: int, gen: np.random.Generator) -> MiniBatch:
@@ -359,6 +364,7 @@ def _group_work(
     )
     g = grad_params(spec, stacked, batch, loss_cfg)
 
+    study_ce = [None] * len(members)
     if config.method in GUIDED_METHODS:
         quiz = stack_batches([c.data.quiz for c in members])
         uploads = guidance_gradient(
@@ -375,15 +381,20 @@ def _group_work(
                 for c, u in zip(members, uploads)
             ]
     elif config.method in PROTO_METHODS:
-        uploads = [
-            local_prototypes(spec, p, s, config.space) for p, s in zip(params, studies)
-        ]
+        # One study forward per client serves its prototypes and its study
+        # ce at evaluation. Only the ce is kept: holding every participant's
+        # outputs to the end of the round raises the run's peak memory.
+        uploads = []
+        for j, (p, s) in enumerate(zip(params, studies)):
+            outputs = forward_batch(spec, p, s.inputs)
+            uploads.append(local_prototypes(s, outputs, config.space))
+            study_ce[j] = study_cross_entropy(spec, p, s, outputs)
     else:  # local-only
         uploads = [None] * len(members)
 
     return [
-        _ClientResult(c.index, p, u, float(g_c @ g_c))
-        for c, p, u, g_c in zip(members, params, uploads, g)
+        _ClientResult(c.index, p, u, float(g_c @ g_c), ce)
+        for c, p, u, g_c, ce in zip(members, params, uploads, g, study_ce)
     ]
 
 
@@ -429,8 +440,10 @@ def run_round(
         per_group = [work(members) for members in groups.values()]
     results = sorted((r for rs in per_group for r in rs), key=lambda r: r.index)
 
+    study_ce = [None] * len(clients)
     for r in results:
         clients[r.index].params = r.params
+        study_ce[r.index] = r.study_ce
 
     # Deterministic ordered reduction at the synchronization barrier.
     payload = server.payload
@@ -455,7 +468,7 @@ def run_round(
     if round_index % config.eval_every == 0 or round_index == config.rounds or eval_cache is None:
         scores = [c.score for c in clients]
         accuracy, per_client, mean_ce = evaluate(
-            [(c.spec, c.params, c.data) for c in clients], scores
+            [(c.spec, c.params, c.data) for c in clients], scores, study_ce
         )
         for c, score in zip(clients, scores):
             c.score = score
@@ -537,11 +550,28 @@ _MAGIC = b"FGCK"
 _CKPT_VERSION = 1
 
 
+@contextmanager
+def atomic_open(path: str, mode: str = "w", **kwargs):
+    """Open a temporary file beside ``path`` for writing and move it into
+    place with ``os.replace`` once the block completes. If the block raises,
+    the temporary file is removed and ``path`` keeps its previous contents,
+    so an interrupted write never leaves a half-written file that looks
+    complete."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # only when the block or the replace failed
+            os.remove(tmp)
+
+
 def save_checkpoint(
     path: str, config: RunConfig, server: ServerState, clients: list[ClientState]
 ):
     digest = config_digest(config).encode()
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IQQd", _CKPT_VERSION, config.seed, server.t, server.min_ce))
         fh.write(struct.pack("<H", len(digest)))

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ClientDataset
+from .data import ClientDataset, Dataset
 from .errors import ContractViolation
 from .nn import LossConfig, MiniBatch, ModelParams, ModelSpec, forward_batch, total_loss
 
@@ -45,18 +45,37 @@ class ClientScore:
     study_ce: float
 
 
-def score_client(spec: ModelSpec, params: ModelParams, data: ClientDataset) -> ClientScore:
-    """Test-set hits and mean study-set cross-entropy of one client model."""
+def study_cross_entropy(
+    spec: ModelSpec,
+    params: ModelParams,
+    study: Dataset,
+    outputs: tuple[np.ndarray, np.ndarray] | None = None,
+) -> float:
+    """Mean cross-entropy of a client model over its study set; ``outputs``
+    as in ``total_loss``."""
+    batch = MiniBatch(study.inputs, study.labels)
+    return total_loss(spec, params, batch, LossConfig(use_ce=True), outputs)
+
+
+def score_client(
+    spec: ModelSpec, params: ModelParams, data: ClientDataset, study_ce: float | None = None
+) -> ClientScore:
+    """Test-set hits and mean study-set cross-entropy of one client model.
+
+    ``study_ce``, when given, is ``study_cross_entropy`` of these params,
+    already computed by the caller.
+    """
     _, logits = forward_batch(spec, params, data.test.inputs)
     hits = int((logits.argmax(axis=1) == data.test.labels).sum())
-    study_batch = MiniBatch(data.study.inputs, data.study.labels)
-    ce = total_loss(spec, params, study_batch, LossConfig(use_ce=True))
-    return ClientScore(params, hits, ce)
+    if study_ce is None:
+        study_ce = study_cross_entropy(spec, params, data.study)
+    return ClientScore(params, hits, study_ce)
 
 
 def evaluate(
     clients: Sequence[tuple[ModelSpec, ModelParams, ClientDataset]],
     scores: list[ClientScore | None] | None = None,
+    study_ce: Sequence[float | None] | None = None,
 ) -> tuple[float, np.ndarray, float]:
     """Test accuracy and study-set ce across clients.
 
@@ -68,9 +87,13 @@ def evaluate(
     ``scores``, when given, holds each client's last score (None if it has
     none) and is brought up to date in place: a client is scored again only
     when its params object is not the one its score was computed for.
+    ``study_ce``, when given, holds per client None or the study ce of its
+    current params, passed on to ``score_client``.
     """
     if scores is None:
         scores = [None] * len(clients)
+    if study_ce is None:
+        study_ce = [None] * len(clients)
     correct = 0
     total = 0
     per_client = np.zeros(len(clients))
@@ -80,7 +103,7 @@ def evaluate(
             raise ContractViolation(f"client {i} has an empty test set")
         score = scores[i]
         if score is None or score.params is not params:
-            score = scores[i] = score_client(spec, params, data)
+            score = scores[i] = score_client(spec, params, data, study_ce[i])
         per_client[i] = score.test_hits / len(data.test)
         correct += score.test_hits
         total += len(data.test)

@@ -8,8 +8,11 @@ affine classifier head, matching the convention that extractors vary across
 clients while head shape stays K -> C. Parameters live in one flat vector;
 blocks are views into it, so unpacking is free and serialization trivial.
 
-All functions here are pure: they never mutate their inputs and are safe to
-call from many threads at once.
+All functions here are pure: they never mutate their inputs, write only
+into an ``out`` array the caller passes in, and are safe to call from many
+threads at once (on distinct ``out`` arrays). The block views of a
+``ModelParams`` are built on its first use and cached on the object; it is
+frozen, so they always address its own ``flat``.
 
 The gradient kernels are rank-polymorphic: given a stack of k clients of one
 architecture (``params.flat`` (k, P), inputs (k, n, d), labels (k, n)) they
@@ -22,7 +25,7 @@ result can depend on the row count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -84,29 +87,33 @@ def param_count(spec: ModelSpec) -> int:
     return _layout(spec)[0][-1]
 
 
-def extractor_param_count(spec: ModelSpec) -> int:
-    return _layout(spec)[1]
-
-
-@dataclass
+@dataclass(frozen=True)
 class ModelParams:
     """Flat float64 parameter vector plus the block layout that addresses it.
 
     ``flat[offsets[i]:offsets[i+1]]`` is affine block i (weights row-major,
     then biases); ``flat[:extractor_end]`` is exactly the extractor. A stack
     of k same-spec clients has ``flat`` of shape (k, P) (see stack_params).
+    Frozen, so ``flat`` is never rebound and the cached block views stay
+    valid; updating ``flat`` in place shows through them.
     """
 
     flat: np.ndarray
     offsets: tuple[int, ...]
     extractor_end: int
-
-    @property
-    def extractor_range(self) -> tuple[int, int]:
-        return (0, self.extractor_end)
+    _views: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.flat.copy(), self.offsets, self.extractor_end)
+
+    def blocks(self, spec: "ModelSpec") -> list[tuple[np.ndarray, ...]]:
+        """(W, W^T, b, b as a row) views of every affine block of ``flat``,
+        built once per object (see _bound_views)."""
+        views = self._views
+        if views is None or views[0] != spec:
+            views = (spec, _bound_views(spec, self.flat))
+            object.__setattr__(self, "_views", views)
+        return views[1]
 
 
 def params_from_flat(spec: ModelSpec, flat: np.ndarray) -> ModelParams:
@@ -153,14 +160,15 @@ def _affines(spec: ModelSpec, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndar
     return [(vec[..., w].reshape(lead + shape), vec[..., b]) for w, shape, b in _block_slices(spec)]
 
 
+def _bound_views(spec: ModelSpec, vec: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """_affines plus the views the products read: W^T (..., fan_in, fan_out)
+    and b as a row (..., 1, fan_out)."""
+    return [(w, _t(w), b, b[..., None, :]) for w, b in _affines(spec, vec)]
+
+
 def _t(a: np.ndarray) -> np.ndarray:
     """Transpose of each matrix of a stack (of a lone matrix too)."""
     return a.swapaxes(-1, -2)
-
-
-def _linear(z: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """z @ W^T + b, per slice when all three carry a leading stack axis."""
-    return z @ _t(w) + b[..., None, :]
 
 
 def _act(name: str, a: np.ndarray) -> np.ndarray:
@@ -171,8 +179,9 @@ def _act(name: str, a: np.ndarray) -> np.ndarray:
 
 def _act_deriv(name: str, a: np.ndarray) -> np.ndarray:
     if name == "relu":
-        # Subgradient at exactly 0 is defined as 0.
-        return (a > 0.0).astype(np.float64)
+        # Subgradient at exactly 0 is defined as 0. A bool mask: multiplying
+        # by it gives the same bits as multiplying by its 0.0/1.0 floats.
+        return a > 0.0
     t = np.tanh(a)
     return 1.0 - t * t
 
@@ -202,6 +211,15 @@ class MiniBatch:
         return self.inputs.shape[0]
 
 
+def _layout_batch(inputs: np.ndarray, labels: np.ndarray) -> MiniBatch:
+    """A MiniBatch cut from an epoch layout, whose dtypes and shapes hold by
+    construction, so the __post_init__ checks are skipped; grad_params still
+    checks labels and shapes on every call."""
+    batch = object.__new__(MiniBatch)
+    batch.inputs, batch.labels = inputs, labels
+    return batch
+
+
 def stack_batches(batches: Sequence[MiniBatch]) -> MiniBatch:
     """Equal-sized batches of a group's clients as one stacked batch."""
     return MiniBatch(np.stack([b.inputs for b in batches]), np.stack([b.labels for b in batches]))
@@ -216,43 +234,15 @@ def forward_batch(
         raise ContractViolation(
             f"inputs have shape {x.shape}, spec expects (*, {spec.input_dim})"
         )
-    blocks = _affines(spec, params.flat)
+    blocks = params.blocks(spec)
     z = x
-    for w, b in blocks[: spec.depth]:
-        z = _act(spec.activation, _linear(z, w, b))
-    features = _linear(z, *blocks[spec.depth])
-    logits = _linear(features, *blocks[spec.depth + 1])
+    for _, wt, _, b_row in blocks[: spec.depth]:
+        z = _act(spec.activation, z @ wt + b_row)
+    _, wt_f, _, b_row_f = blocks[spec.depth]
+    features = z @ wt_f + b_row_f
+    _, wt_h, _, b_row_h = blocks[spec.depth + 1]
+    logits = features @ wt_h + b_row_h
     return features, logits
-
-
-def forward(
-    spec: ModelSpec, params: ModelParams, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-input forward pass; returns (features (K,), logits (C,))."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ContractViolation("forward expects a single input vector")
-    features, logits = forward_batch(spec, params, x[None, :])
-    return features[0], logits[0]
-
-
-def loss_ce(logits: np.ndarray, label: int) -> float:
-    """Cross-entropy -log softmax(logits)[label], log-sum-exp stabilized."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not 0 <= label < logits.shape[0]:
-        raise ContractViolation(f"label {label} out of range for {logits.shape[0]} classes")
-    shifted = logits - logits.max()
-    return float(np.log(np.exp(shifted).sum()) - shifted[label])
-
-
-def loss_mse(v_pred: np.ndarray, v_target: np.ndarray) -> float:
-    """Mean of squared coordinate differences."""
-    v_pred = np.asarray(v_pred, dtype=np.float64)
-    v_target = np.asarray(v_target, dtype=np.float64)
-    if v_pred.shape != v_target.shape:
-        raise ContractViolation("loss_mse requires equal-length vectors")
-    d = v_pred - v_target
-    return float(np.mean(d * d))
 
 
 @dataclass(frozen=True)
@@ -296,10 +286,22 @@ def _check_labels(labels: np.ndarray, class_count: int):
         raise ContractViolation(f"labels out of range [0, {class_count})")
 
 
-def total_loss(spec: ModelSpec, params: ModelParams, batch: MiniBatch, cfg: LossConfig) -> float:
-    """Mean combined loss of ``cfg`` over the batch."""
+def total_loss(
+    spec: ModelSpec,
+    params: ModelParams,
+    batch: MiniBatch,
+    cfg: LossConfig,
+    outputs: tuple[np.ndarray, np.ndarray] | None = None,
+) -> float:
+    """Mean combined loss of ``cfg`` over the batch.
+
+    ``outputs``, when given, are ``forward_batch(spec, params, batch.inputs)``
+    already computed by the caller; they are used as is.
+    """
     _check_labels(batch.labels, spec.class_count)
-    features, logits = forward_batch(spec, params, batch.inputs)
+    if outputs is None:
+        outputs = forward_batch(spec, params, batch.inputs)
+    features, logits = outputs
     n = len(batch)
     loss = 0.0
     if cfg.use_ce:
@@ -327,32 +329,42 @@ def _check_stack(params: ModelParams, x: np.ndarray, spec: ModelSpec, what: str)
 
 
 def grad_params(
-    spec: ModelSpec, params: ModelParams, batch: MiniBatch, cfg: LossConfig
+    spec: ModelSpec,
+    params: ModelParams,
+    batch: MiniBatch,
+    cfg: LossConfig,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Exact reverse-mode gradient of the mean combined loss over the batch.
 
     Returns a flat P-vector in the same layout as ``params.flat``; for a
     stack of k clients and k batches, the (k, P) stack of their gradients.
+    ``out``, when given, is a float64 array shaped like ``params.flat`` and
+    not overlapping it; the gradient is written into it and it is returned.
     """
     _check_labels(batch.labels, spec.class_count)
     x = batch.inputs
     _check_stack(params, x, spec, "batch inputs")
+    if out is not None and (out.shape != params.flat.shape or out.dtype != np.float64):
+        raise ContractViolation(
+            f"out is {out.dtype} {out.shape}, expected float64 {params.flat.shape}"
+        )
     n = batch.labels.shape[-1]
-    blocks = _affines(spec, params.flat)
+    blocks = params.blocks(spec)
 
     # Forward, caching pre-activations of hidden layers and all layer inputs.
     layer_inputs = [x]  # input to affine block l
     pre_acts = []
     z = x
-    for w, b in blocks[: spec.depth]:
-        a = _linear(z, w, b)
+    for _, wt, _, b_row in blocks[: spec.depth]:
+        a = z @ wt + b_row
         pre_acts.append(a)
         z = _act(spec.activation, a)
         layer_inputs.append(z)
-    w_f, b_f = blocks[spec.depth]
-    features = _linear(z, w_f, b_f)
-    w_h, b_h = blocks[spec.depth + 1]
-    logits = _linear(features, w_h, b_h)
+    w_f, wt_f, _, b_row_f = blocks[spec.depth]
+    features = z @ wt_f + b_row_f
+    w_h, wt_h, _, b_row_h = blocks[spec.depth + 1]
+    logits = features @ wt_h + b_row_h
 
     # Output-side gradients of the mean loss.
     if cfg.use_ce:
@@ -362,7 +374,7 @@ def grad_params(
         d_logits = probs / n
     else:
         d_logits = np.zeros_like(logits)
-    d_features_direct = np.zeros_like(features)
+    d_features_direct = None
     if cfg.guide_vectors is not None:
         guided = logits if cfg.guide_space == "logit" else features
         targets = cfg.guide_vectors[batch.labels]
@@ -377,31 +389,36 @@ def grad_params(
         if cfg.guide_space == "logit":
             d_logits += d_guided
         else:
-            d_features_direct += d_guided
+            d_features_direct = d_guided
 
     # Each block's gradient is written straight into its slice of ``grad``;
     # the blocks tile the vector, so every entry is written once.
-    grad = np.empty_like(params.flat)
+    grad = np.empty_like(params.flat) if out is None else out
     g_blocks = _affines(spec, grad)
 
     gw_h, gb_h = g_blocks[spec.depth + 1]
     np.matmul(_t(d_logits), features, out=gw_h)
-    np.sum(d_logits, axis=-2, out=gb_h)
-    d_features = d_logits @ w_h + d_features_direct
+    np.add.reduce(d_logits, axis=-2, out=gb_h)
+    d_features = d_logits @ w_h
+    if d_features_direct is not None:
+        d_features += d_features_direct
 
     gw_f, gb_f = g_blocks[spec.depth]
     np.matmul(_t(d_features), layer_inputs[spec.depth], out=gw_f)
-    np.sum(d_features, axis=-2, out=gb_f)
+    np.add.reduce(d_features, axis=-2, out=gb_f)
     d_z = d_features @ w_f
 
     for l in range(spec.depth - 1, -1, -1):
         d_a = d_z * _act_deriv(spec.activation, pre_acts[l])
         gw, gb = g_blocks[l]
         np.matmul(_t(d_a), layer_inputs[l], out=gw)
-        np.sum(d_a, axis=-2, out=gb)
-        d_z = d_a @ blocks[l][0]
+        np.add.reduce(d_a, axis=-2, out=gb)
+        if l:  # the input gradient of block 0 is never read
+            d_z = d_a @ blocks[l][0]
 
-    grad += 0.0  # -0.0 to +0.0, as accumulating into a zeroed buffer does
+    # -0.0 to +0.0, as accumulating into a zeroed buffer does; this also
+    # makes skipping the all-zero feature-side term above bit-neutral.
+    grad += 0.0
     return grad
 
 
@@ -430,37 +447,25 @@ def jvp_guided_batch(
         )
     x = np.asarray(inputs, dtype=np.float64)
     _check_stack(params, x, spec, "inputs")
-    blocks = _affines(spec, params.flat)
-    d_blocks = _affines(spec, direction)
+    blocks = params.blocks(spec)
+    d_blocks = _bound_views(spec, direction)
 
     z = x
     dz = np.zeros_like(x)
-    for (w, b), (dw, db) in zip(blocks[: spec.depth], d_blocks[: spec.depth]):
-        a = _linear(z, w, b)
-        da = dz @ _t(w) + z @ _t(dw) + db[..., None, :]
+    for (_, wt, _, b_row), (_, dwt, _, db_row) in zip(
+        blocks[: spec.depth], d_blocks[: spec.depth]
+    ):
+        a = z @ wt + b_row
+        da = dz @ wt + z @ dwt + db_row
         dz = _act_deriv(spec.activation, a) * da
         z = _act(spec.activation, a)
-    (w_f, b_f), (dw_f, db_f) = blocks[spec.depth], d_blocks[spec.depth]
-    features = _linear(z, w_f, b_f)
-    d_features = dz @ _t(w_f) + z @ _t(dw_f) + db_f[..., None, :]
+    (_, wt_f, _, b_row_f), (_, dwt_f, _, db_row_f) = blocks[spec.depth], d_blocks[spec.depth]
+    features = z @ wt_f + b_row_f
+    d_features = dz @ wt_f + z @ dwt_f + db_row_f
     if space == "feature":
         return d_features
-    (w_h, _), (dw_h, db_h) = blocks[spec.depth + 1], d_blocks[spec.depth + 1]
-    return d_features @ _t(w_h) + features @ _t(dw_h) + db_h[..., None, :]
-
-
-def jvp_guided_output(
-    spec: ModelSpec,
-    params: ModelParams,
-    x: np.ndarray,
-    direction: np.ndarray,
-    space: str,
-) -> np.ndarray:
-    """Directional derivative of the guided map at a single input."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ContractViolation("jvp_guided_output expects a single input vector")
-    return jvp_guided_batch(spec, params, x[None, :], direction, space)[0]
+    (_, wt_h, _, _), (_, dwt_h, _, db_row_h) = blocks[spec.depth + 1], d_blocks[spec.depth + 1]
+    return d_features @ wt_h + features @ dwt_h + db_row_h
 
 
 def sgd_step(params: ModelParams, gradient: np.ndarray, eta_c: float) -> ModelParams:
@@ -507,13 +512,19 @@ def run_sgd_epoch(
         ys[row, : steps[j]] = labels[j][used].reshape(steps[j], batch_size)
     stacked = stack_params([params[j] for j in order])
     flat = stacked.flat
-    active = len(order)
+    grad = np.empty_like(flat)  # one gradient buffer for the whole epoch
+    active = 0
     for s in range(shape[1]):
-        while steps[order[active - 1]] <= s:
-            active -= 1
-        prefix = ModelParams(flat[:active], stacked.offsets, stacked.extractor_end)
-        batch = MiniBatch(xs[:active, s], ys[:active, s])
-        flat[:active] -= eta_c * grad_params(spec, prefix, batch, cfg)
+        if active == 0 or steps[order[active - 1]] <= s:
+            # The prefix still stepping shrank (or this is the first step):
+            # bind it, and its slice of the gradient buffer, once.
+            active = sum(steps[j] > s for j in order)
+            theta, g = flat[:active], grad[:active]
+            prefix = ModelParams(theta, stacked.offsets, stacked.extractor_end)
+        batch = _layout_batch(xs[:active, s], ys[:active, s])
+        grad_params(spec, prefix, batch, cfg, out=g)
+        g *= eta_c
+        theta -= g
     for row, j in enumerate(order):
         # A copy, so a client that sits out later rounds does not keep the
         # whole group's stack alive.

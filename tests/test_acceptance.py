@@ -70,7 +70,7 @@ def test_criterion_01_guidance_gradient_oracle():
 
 
 def test_criterion_02_parameter_gradient_and_jvp_oracles():
-    """grad_params and jvp_guided_output vs central differences, 100 seeded
+    """grad_params and jvp_guided_batch vs central differences, 100 seeded
     instances each, rel err <= 1e-6."""
     start = time.perf_counter()
     worst_grad = 0.0

@@ -30,8 +30,8 @@ def make_study(seed, n=12, c=3, d=4):
 def test_local_prototypes_single_sample_row():
     spec, params, batch, _ = random_instance(0)
     study = Dataset(batch.inputs[:1], np.array([1]), 3)
-    vectors, counts = local_prototypes(spec, params, study, "feature")
-    features, _ = nn.forward_batch(spec, params, study.inputs)
+    features, logits = nn.forward_batch(spec, params, study.inputs)
+    vectors, counts = local_prototypes(study, (features, logits), "feature")
     assert np.allclose(vectors[1], features[0])
     assert counts.tolist() == [0, 1, 0]
     assert np.array_equal(vectors[0], np.zeros(spec.feature_dim))
@@ -41,16 +41,23 @@ def test_local_prototypes_duplicates_collapse():
     spec, params, batch, _ = random_instance(1)
     one = Dataset(batch.inputs[:1], np.array([0]), 3)
     two = Dataset(np.tile(batch.inputs[:1], (2, 1)), np.array([0, 0]), 3)
-    v1, c1 = local_prototypes(spec, params, one, "logit")
-    v2, c2 = local_prototypes(spec, params, two, "logit")
+    v1, c1 = local_prototypes(one, nn.forward_batch(spec, params, one.inputs), "logit")
+    v2, c2 = local_prototypes(two, nn.forward_batch(spec, params, two.inputs), "logit")
     assert np.allclose(v1[0], v2[0])
     assert c1[0] == 1 and c2[0] == 2
+
+
+def test_local_prototypes_rejects_outputs_of_other_rows():
+    spec, params, batch, _ = random_instance(1)
+    study = Dataset(batch.inputs[:2], np.array([0, 1]), 3)
+    with pytest.raises(ContractViolation, match="output rows"):
+        local_prototypes(study, nn.forward_batch(spec, params, batch.inputs[:3]), "feature")
 
 
 def test_aggregate_single_client_identity():
     spec, params, _, _ = random_instance(2)
     study = make_study(3)
-    local = local_prototypes(spec, params, study, "feature")
+    local = local_prototypes(study, nn.forward_batch(spec, params, study.inputs), "feature")
     agg = aggregate_prototypes([local], "feature")
     assert np.allclose(agg.vectors[agg.valid], local[0][local[1] > 0])
     assert np.array_equal(agg.counts, local[1])

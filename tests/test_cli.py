@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from fedguide import cli
 from fedguide.cli import (
     ExperimentConfig,
     compare_runs,
@@ -109,6 +110,26 @@ def test_metric_files_roundtrip_and_header(tmp_path):
         original = fh.read()
     assert original.startswith("round,accuracy,")
     assert (cols["accuracy"] >= 0).all() and (cols["accuracy"] <= 1).all()
+
+
+def test_failed_output_writes_keep_the_previous_files(tmp_path, monkeypatch):
+    cfg = parse_config(TINY + ["--method", "local-only", "--seed", "1", "--out", str(tmp_path)])
+    run_experiment(cfg)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["metrics_local-only_run00_seed1.csv", "summary_local-only.json"]
+
+    def partial_dump(obj, fh, **kwargs):
+        fh.write('{"schema": ')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli.json, "dump", partial_dump)
+    with pytest.raises(OSError, match="no space left"):
+        run_experiment(cfg)
+    # a metric table that cannot be encoded fails inside the write itself
+    monkeypatch.setattr(cli, "format_metrics_csv", lambda history: "round\n1\ud800\n")
+    with pytest.raises(UnicodeEncodeError):
+        run_experiment(cfg)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_summary_statistics_over_seeds(tmp_path):

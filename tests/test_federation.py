@@ -16,6 +16,7 @@ from fedguide.federation import (
     config_digest,
     load_checkpoint,
     run_round,
+    save_checkpoint,
     run_training,
     sample_participants,
     task_digest,
@@ -163,6 +164,29 @@ def test_checkpoint_rejects_wrong_config(tmp_path):
         run_training(other, resume_from=ckpt)
 
 
+class _FailingFlat:
+    """A parameter vector whose serialization fails, as a full disk would."""
+
+    shape = (3,)
+
+    def astype(self, dtype):
+        raise OSError("no space left on device")
+
+
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path):
+    cfg = small_config(rounds=4)
+    path, blob = _checkpoint_bytes(tmp_path, cfg)
+    result = run_training(cfg)
+    broken = dataclasses.replace(result.clients[-1])
+    broken.params = nn.ModelParams(_FailingFlat(), (), 0)
+    # the header and all but the last client are written before the failure
+    with pytest.raises(OSError, match="no space left"):
+        save_checkpoint(str(path), cfg, result.server, [*result.clients[:-1], broken])
+    assert path.read_bytes() == bytes(blob)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+    load_checkpoint(str(path), cfg, build_clients(cfg))
+
+
 def _checkpoint_bytes(tmp_path, cfg, at=2):
     path = tmp_path / "run.ckpt"
     run_training(cfg, checkpoint_at=at, checkpoint_path=str(path))
@@ -257,6 +281,29 @@ def test_evaluation_scores_only_clients_whose_params_changed(monkeypatch):
         last_scored = [c.params for c in clients]
     # all six at first, none in the warm-up round, then the three trained participants
     assert counts == [6, 0, 3, 3, 3, 3]
+
+
+@pytest.mark.parametrize("method", ["fedproto", "feddistill"])
+def test_prototype_round_forwards_each_study_set_once(monkeypatch, method):
+    forwarded = []
+    nn_forward = nn.forward_batch
+
+    def counting_forward(spec, params, inputs):
+        forwarded.append(id(inputs))
+        return nn_forward(spec, params, inputs)
+
+    for module in (nn, federation, metrics):
+        monkeypatch.setattr(module, "forward_batch", counting_forward)
+    cfg = small_config(method, rounds=3)  # rho 1: every client trains every round
+    clients = build_clients(cfg)
+    server = build_server(cfg)
+    # the study set for the prototypes and the study ce, the test set for hits
+    expected = sorted(id(c.data.study.inputs) for c in clients)
+    expected = sorted(expected + [id(c.data.test.inputs) for c in clients])
+    while server.t < cfg.rounds:
+        forwarded.clear()
+        server, _ = run_round(server, clients, cfg)
+        assert sorted(forwarded) == expected
 
 
 def test_client_error_carries_index():

@@ -1,12 +1,18 @@
-"""Byte-identity gate: the metric CSV of a small run of every method must
-not change under refactors or speed-ups.
+"""Byte-identity gate: the metric CSV of a small run of every method, and
+of each benchmark workload at seed 1, must not change under refactors or
+speed-ups.
 
-The digests were recorded before the per-client evaluation cache was added.
-A deliberate numeric change (a new loss, a different data split, another
+The small-run digests were recorded before the per-client evaluation cache
+was added; the workload digests before the per-step dispatch trim. The
+workloads cover what the small runs miss: the pathological partition, 100
+clients at rho 0.1, batch 40, and study sets smaller than a batch. A
+deliberate numeric change (a new loss, a different data split, another
 reduction order) must re-record them and say why in CHANGES.md.
 """
 
 import hashlib
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +20,9 @@ from fedguide.cli import format_metrics_csv
 from fedguide.federation import run_training
 
 from helpers import small_config
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  (read only: the benchmark's own run configs)
 
 # (method, small_config overrides) -> SHA-256 of format_metrics_csv(history)
 GOLDEN = {
@@ -53,4 +62,23 @@ def test_metrics_csv_is_byte_identical(method, overrides):
         f"{method} {dict(overrides)}: the metric CSV changed. If the numeric change "
         "is deliberate, re-record the digests in tests/test_golden.py and log why "
         "in CHANGES.md."
+    )
+
+
+# workload -> SHA-256 of format_metrics_csv(history) of workloads.run_config(w, 1)
+GOLDEN_WORKLOADS = {
+    "paper-f": "1f68f541c91868555b1d75bbb436323fdbb2e483e231ee596485278ad00ebf5a",
+    "paper-proto": "7f9cb98a27ec79ccff401398793484bac45ce2497bffd2f7b06a63df6cae945c",
+    "wide-l": "12870d0d375324fccb9c96ebc5ed5d970cb746d94148cb599ac1158eba93c563",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(GOLDEN_WORKLOADS))
+def test_workload_metrics_csv_is_byte_identical(workload):
+    history = run_training(workloads.run_config(workload, 1)).history
+    digest = hashlib.sha256(format_metrics_csv(history).encode()).hexdigest()
+    assert digest == GOLDEN_WORKLOADS[workload], (
+        f"benchmark workload {workload} at seed 1: the metric CSV changed. If the "
+        "numeric change is deliberate, re-record the digests in tests/test_golden.py "
+        "and log why in CHANGES.md."
     )

@@ -51,9 +51,10 @@ def test_client_total_loss_composes_ce_and_mse_for_one_sample():
     spec, params, batch, _, gset, _ = make_instance(1)
     single = MiniBatch(batch.inputs[:1], batch.labels[:1])
     features, logits = nn.forward_batch(spec, params, single.inputs)
-    expected = nn.loss_ce(logits[0], int(single.labels[0])) + nn.loss_mse(
-        features[0], gset.vectors[int(single.labels[0])]
-    )
+    y = int(single.labels[0])
+    shifted = logits[0] - logits[0].max()
+    ce = np.log(np.exp(shifted).sum()) - shifted[y]
+    expected = ce + np.mean((features[0] - gset.vectors[y]) ** 2)
     assert client_total_loss(spec, params, single, gset) == pytest.approx(expected, rel=1e-12)
 
 

@@ -21,9 +21,9 @@ def zero_params(spec):
 def test_forward_zero_weights_gives_bias_outputs():
     spec = ModelSpec(3, (4,), 5, 2, "relu")
     params = zero_params(spec)
-    features, logits = nn.forward(spec, params, np.array([1.0, -2.0, 3.0]))
-    assert np.array_equal(features, np.zeros(5))
-    assert np.array_equal(logits, np.zeros(2))
+    features, logits = nn.forward_batch(spec, params, np.array([[1.0, -2.0, 3.0]]))
+    assert np.array_equal(features, np.zeros((1, 5)))
+    assert np.array_equal(logits, np.zeros((1, 2)))
 
 
 def test_forward_single_linear_layer_by_hand():
@@ -36,17 +36,17 @@ def test_forward_single_linear_layer_by_hand():
     blocks[1][0][:] = np.eye(2)  # feature W = I
     blocks[2][0][:] = np.array([[2.0, 0.0], [0.0, 3.0]])  # head
     blocks[2][1][:] = np.array([0.5, -0.5])
-    features, logits = nn.forward(spec, params, np.array([1.0, 0.0]))
-    assert np.allclose(features, [1.0, 0.0])
-    assert np.allclose(logits, [2.5, -0.5])  # first weight column + bias
+    features, logits = nn.forward_batch(spec, params, np.array([[1.0, 0.0]]))
+    assert np.allclose(features, [[1.0, 0.0]])
+    assert np.allclose(logits, [[2.5, -0.5]])  # first weight column + bias
 
 
 def test_forward_deterministic_bitwise():
     spec = ModelSpec(6, (8, 4), 5, 3, "tanh")
     params = nn.init_params(spec, stream(7, 3, 0))
-    x = stream(7, 0).standard_normal(6)
-    f1, l1 = nn.forward(spec, params, x)
-    f2, l2 = nn.forward(spec, params, x)
+    x = stream(7, 0).standard_normal((1, 6))
+    f1, l1 = nn.forward_batch(spec, params, x)
+    f2, l2 = nn.forward_batch(spec, params, x)
     assert np.array_equal(f1, f2) and np.array_equal(l1, l2)
 
 
@@ -54,39 +54,71 @@ def test_forward_rejects_dimension_mismatch():
     spec = ModelSpec(3, (4,), 5, 2, "relu")
     params = zero_params(spec)
     with pytest.raises(ContractViolation):
-        nn.forward(spec, params, np.zeros(4))
+        nn.forward_batch(spec, params, np.zeros((1, 4)))
+
+
+def head_bias_params(bias):
+    """A one-sample problem whose logits are exactly ``bias``: all weights and
+    the extractor's biases are 0, so the head's bias is the output."""
+    spec = ModelSpec(2, (2,), 2, len(bias), "relu")
+    params = zero_params(spec)
+    nn._affines(spec, params.flat)[-1][1][:] = bias
+    return spec, params, np.zeros((1, 2))
+
+
+def ce_of(bias, label):
+    spec, params, x = head_bias_params(bias)
+    return nn.total_loss(spec, params, MiniBatch(x, [label]), LossConfig(use_ce=True))
+
+
+def mse_of(pred, target):
+    spec, params, x = head_bias_params(pred)
+    cfg = LossConfig(use_ce=False, guide_vectors=np.array([target]), guide_space="logit")
+    return nn.total_loss(spec, params, MiniBatch(x, [0]), cfg)
 
 
 def test_loss_ce_uniform_logits():
-    assert nn.loss_ce(np.zeros(4), 2) == pytest.approx(math.log(4.0), rel=1e-12)
+    assert ce_of(np.zeros(4), 2) == pytest.approx(math.log(4.0), rel=1e-12)
 
 
 def test_loss_ce_dominant_logit():
     # frozen from an independent calculator: log1p(2*exp(-10))
-    assert nn.loss_ce(np.array([10.0, 0.0, 0.0]), 0) == pytest.approx(
+    assert ce_of(np.array([10.0, 0.0, 0.0]), 0) == pytest.approx(
         9.079573746724446e-05, rel=1e-10
     )
 
 
 def test_loss_ce_wrong_class_exceeds_log_c():
     logits = np.array([50.0, 0.0, 0.0])
-    assert nn.loss_ce(logits, 1) > math.log(3.0)
+    assert ce_of(logits, 1) > math.log(3.0)
 
 
 def test_loss_ce_label_range_checked():
     with pytest.raises(ContractViolation):
-        nn.loss_ce(np.zeros(3), 3)
+        ce_of(np.zeros(3), 3)
 
 
 def test_loss_mse_by_hand():
-    assert nn.loss_mse(np.array([1.0, 0.0]), np.array([0.0, 0.0])) == 0.5
-    assert nn.loss_mse(np.array([2.0, -1.0]), np.array([2.0, -1.0])) == 0.0
-    assert nn.loss_mse(np.array([3.0, -1.0]), np.array([1.0, 1.0])) == 4.0
+    assert mse_of(np.array([1.0, 0.0]), np.array([0.0, 0.0])) == 0.5
+    assert mse_of(np.array([2.0, -1.0]), np.array([2.0, -1.0])) == 0.0
+    assert mse_of(np.array([3.0, -1.0]), np.array([1.0, 1.0])) == 4.0
 
 
 def test_loss_mse_length_mismatch():
+    spec, params, x = head_bias_params(np.zeros(2))
+    cfg = LossConfig(use_ce=False, guide_vectors=np.zeros((1, 3)), guide_space="logit")
     with pytest.raises(ContractViolation):
-        nn.loss_mse(np.zeros(2), np.zeros(3))
+        nn.total_loss(spec, params, MiniBatch(x, [0]), cfg)
+
+
+def test_total_loss_reuses_given_outputs():
+    spec, params, batch, rng = random_instance(3)
+    V = rng.standard_normal((spec.class_count, spec.feature_dim))
+    cfg = LossConfig(use_ce=True, guide_vectors=V, guide_space="feature")
+    outputs = nn.forward_batch(spec, params, batch.inputs)
+    assert nn.total_loss(spec, params, batch, cfg, outputs) == nn.total_loss(
+        spec, params, batch, cfg
+    )
 
 
 def test_grad_zero_when_mse_target_already_met():
@@ -337,3 +369,82 @@ def test_lockstep_epoch_equals_each_client_alone(mode):
         )
         assert alone[0].flat.tobytes() == out[j].flat.tobytes(), j
     assert all(not np.array_equal(o.flat, p.flat) for o, p in zip(out[1:], params[1:]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("mode", ["ce", "feature", "logit", "masked"])
+@pytest.mark.parametrize("variant", range(len(nn.DEFAULT_HIDDEN_FAMILY)))
+def test_grad_params_into_out_buffer_is_the_allocating_call(variant, mode, k):
+    spec = nn.family_spec(variant, 32, 32, 10)
+    rng = stream(variant, 13, k)
+    cfg = _guide_config(mode, spec, rng)
+    params = [nn.init_params(spec, stream(variant, 3, j)) for j in range(k)]
+    batches = [MiniBatch(rng.standard_normal((10, 32)), rng.integers(0, 10, 10)) for _ in range(k)]
+    for p, b in [(params[0], batches[0]), (nn.stack_params(params), nn.stack_batches(batches))]:
+        expected = nn.grad_params(spec, p, b, cfg)
+        buf = np.full_like(p.flat, np.nan)  # stale contents must not leak through
+        got = nn.grad_params(spec, p, b, cfg, out=buf)
+        assert got is buf
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_grad_params_rejects_a_misshapen_out_buffer():
+    spec, params, batch, _ = random_instance(4)
+    with pytest.raises(ContractViolation, match="out is"):
+        nn.grad_params(spec, params, batch, LossConfig(), out=np.zeros(3))
+    with pytest.raises(ContractViolation, match="out is"):
+        nn.grad_params(
+            spec, params, batch, LossConfig(), out=np.zeros_like(params.flat, dtype=np.float32)
+        )
+
+
+def test_epoch_results_share_no_memory(monkeypatch):
+    spec = nn.family_spec(1, 8, 6, 4)
+    rng = stream(6, 12)
+    sizes = [35, 70, 12, 50]
+    params = [nn.init_params(spec, stream(6, 3, j)) for j in range(len(sizes))]
+    inputs = [rng.standard_normal((n, 8)) for n in sizes]
+    labels = [rng.integers(0, 4, n) for n in sizes]
+    buffers = []
+    original = nn.grad_params
+
+    def recording(spec, params, batch, cfg, out=None):
+        buffers.append((params.flat, out))
+        return original(spec, params, batch, cfg, out=out)
+
+    monkeypatch.setattr(nn, "grad_params", recording)
+    rngs = [stream(6, 6, j) for j in range(len(sizes))]
+    out = nn.run_sgd_epoch(spec, params, inputs, labels, LossConfig(), 0.05, 10, rngs)
+    assert len(buffers) == 7  # one call per step, through the module name
+    stack, grad = buffers[0]
+    assert grad is not None and not np.shares_memory(stack, grad)
+    for j, p in enumerate(out):
+        assert not np.shares_memory(p.flat, stack) and not np.shares_memory(p.flat, grad)
+        assert not np.shares_memory(p.flat, params[j].flat)
+        for q in out[j + 1 :]:
+            assert not np.shares_memory(p.flat, q.flat)
+
+
+def test_cached_views_follow_in_place_updates():
+    spec = nn.family_spec(2, 8, 6, 4)
+    params = nn.init_params(spec, stream(8, 3, 0))
+    x = stream(8, 0).standard_normal((5, 8))
+    nn.forward_batch(spec, params, x)  # binds the views
+    blocks = params.blocks(spec)
+    assert params.blocks(spec) is blocks  # bound once per object
+    for w, wt, b, b_row in blocks:
+        for view in (w, wt, b, b_row):
+            assert np.shares_memory(view, params.flat)
+    params.flat[:] *= 0.5
+    fresh = nn.params_from_flat(spec, params.flat.copy())
+    for got, expected in zip(params.blocks(spec), fresh.blocks(spec)):
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+    assert all(
+        np.array_equal(a, b)
+        for a, b in zip(nn.forward_batch(spec, params, x), nn.forward_batch(spec, fresh, x))
+    )
+    # an equal spec built apart reuses the views; a copy binds its own
+    assert params.blocks(nn.family_spec(2, 8, 6, 4)) is blocks
+    copy = params.copy()
+    assert not np.shares_memory(copy.blocks(spec)[0][0], params.flat)
