@@ -20,7 +20,7 @@ from .errors import (
 )
 from .nn import LossConfig, MiniBatch, ModelParams, ModelSpec
 from .data import ClientDataset, Dataset, PartitionPlan
-from .guidance import GuidanceConfig, GuidanceGradient, GuidingVectorSet
+from .guidance import GuidanceGradient, GuidingVectorSet
 from .baselines import PrototypeSet
 from .federation import ClientState, RunConfig, ServerState, TaskConfig
 from .metrics import RoundMetrics
@@ -34,7 +34,6 @@ __all__ = [
     "DataFormatError",
     "Dataset",
     "FedGuideError",
-    "GuidanceConfig",
     "GuidanceGradient",
     "GuidingVectorSet",
     "LossConfig",

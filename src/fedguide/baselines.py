@@ -15,14 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ContractViolation
-from .nn import (
-    LossConfig,
-    MiniBatch,
-    ModelParams,
-    ModelSpec,
-    run_sgd_epoch,
-    total_loss,
-)
+from .nn import LossConfig
 
 SPACES = ("logit", "feature")
 
@@ -118,29 +111,3 @@ def prototype_loss_config(pset: PrototypeSet) -> LossConfig:
     return LossConfig(
         use_ce=True, guide_vectors=pset.vectors, guide_space=pset.space, guide_valid=pset.valid
     )
-
-
-def baseline_client_loss(
-    spec: ModelSpec,
-    params: ModelParams,
-    batch: MiniBatch,
-    pset: PrototypeSet,
-) -> float:
-    """Mean ce + mse(guided output, g^y), skipping samples with invalid rows."""
-    return total_loss(spec, params, batch, prototype_loss_config(pset))
-
-
-def local_only_round(
-    clients: Sequence[tuple[ModelSpec, ModelParams, Dataset]],
-    eta_c: float,
-    rngs: Sequence[np.random.Generator],
-    batch_size: int = 10,
-) -> list[ModelParams]:
-    """One epoch of pure cross-entropy SGD per client; no communication."""
-    cfg = LossConfig(use_ce=True)
-    return [
-        run_sgd_epoch(
-            spec, [params], [study.inputs], [study.labels], cfg, eta_c, batch_size, [rng]
-        )[0]
-        for (spec, params, study), rng in zip(clients, rngs)
-    ]

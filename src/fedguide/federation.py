@@ -305,12 +305,6 @@ class _ClientResult:
     study_ce: float | None = None
 
 
-def _sample_batch(study: Dataset, batch_size: int, gen: np.random.Generator) -> MiniBatch:
-    k = min(batch_size, len(study))
-    idx = gen.choice(len(study), size=k, replace=False)
-    return MiniBatch(study.inputs[idx], study.labels[idx])
-
-
 def _loss_config(config: RunConfig, payload: GuidingVectorSet | PrototypeSet | None) -> LossConfig:
     """The local training loss of the method, toward this round's payload."""
     if config.method in PROTO_METHODS:
@@ -343,11 +337,14 @@ def _group_work(
     one stacked call over the group. Pure in its arguments."""
     seed = config.seed
     spec = members[0].spec
+    # Most epoch steps first, the epoch's own stacking order, so the stack it
+    # steps is already in member order and serves the calls below as is.
+    members = sorted(members, key=lambda c: -(len(c.data.study) // config.batch_size))
     studies = [c.data.study for c in members]
     loss_cfg = _loss_config(config, payload)
     params = [c.params for c in members]
     if config.method not in GUIDED_METHODS or round_index > config.warmup:
-        params = run_sgd_epoch(
+        params, stacked = run_sgd_epoch(
             spec,
             params,
             [s.inputs for s in studies],
@@ -357,11 +354,19 @@ def _group_work(
             config.batch_size,
             [rngmod.stream(seed, rngmod.EPOCH, c.index, round_index) for c in members],
         )
-    stacked = stack_params(params)
-    batch_rngs = [rngmod.stream(seed, rngmod.BATCH, c.index, round_index) for c in members]
-    batch = stack_batches(
-        [_sample_batch(s, config.batch_size, r) for s, r in zip(studies, batch_rngs)]
-    )
+    else:
+        stacked = stack_params(params)
+    # Each member draws its study batch from its own BATCH stream; the rows
+    # are gathered straight into the group's stacked batch.
+    n = min(config.batch_size, len(studies[0]))
+    inputs = np.empty((len(members), n, spec.input_dim))
+    labels = np.empty((len(members), n), dtype=np.int64)
+    for j, (c, s) in enumerate(zip(members, studies)):
+        idx = rngmod.stream(seed, rngmod.BATCH, c.index, round_index).choice(
+            len(s), size=n, replace=False
+        )
+        inputs[j], labels[j] = s.inputs[idx], s.labels[idx]
+    batch = MiniBatch(inputs, labels)
     g = grad_params(spec, stacked, batch, loss_cfg)
 
     study_ce = [None] * len(members)

@@ -34,7 +34,6 @@ from .nn import (
     jvp_guided_batch,
     run_sgd_epoch,
     sgd_step,
-    total_loss,
 )
 
 SPACES = ("logit", "feature")
@@ -92,38 +91,11 @@ class GuidanceGradient:
         return int(self.present.sum())
 
 
-@dataclass(frozen=True)
-class GuidanceConfig:
-    """Hyperparameters of the guidance protocol."""
-
-    eta_c: float
-    eta_s: float
-    space: str
-    guiding_weight: float = 1.0  # fixed: ce and guide terms weighted equally
-    quiz_size: int = 10
-
-    def __post_init__(self):
-        if self.eta_c <= 0 or self.eta_s <= 0:
-            raise ContractViolation("learning rates must be positive")
-        if self.space not in SPACES:
-            raise ContractViolation(f"unknown space {self.space!r}")
-
-
 def guided_loss_config(gset: GuidingVectorSet | None) -> LossConfig:
     """LossConfig for ce plus guidance toward ``gset`` (pure ce when None)."""
     if gset is None:
         return LossConfig(use_ce=True)
     return LossConfig(use_ce=True, guide_vectors=gset.vectors, guide_space=gset.space)
-
-
-def client_total_loss(
-    spec: ModelSpec,
-    params: ModelParams,
-    batch: MiniBatch,
-    gset: GuidingVectorSet,
-) -> float:
-    """Mean over the batch of ce(logits, y) + mse(guided_output, v^y)."""
-    return total_loss(spec, params, batch, guided_loss_config(gset))
 
 
 def local_train_epoch(
@@ -143,9 +115,10 @@ def local_train_epoch(
     if len(study) == 0:
         raise ContractViolation("study set is empty")
     cfg = guided_loss_config(gset)
-    return run_sgd_epoch(
+    new, _ = run_sgd_epoch(
         spec, [params], [study.inputs], [study.labels], cfg, eta_c, batch_size, [rng]
-    )[0]
+    )
+    return new[0]
 
 
 def pseudo_train(
@@ -193,20 +166,26 @@ def guidance_gradient(
     labels = study_batch.labels
     scale = 2.0 * eta_c / (gset.dim * labels.shape[-1])
     if labels.ndim == 1:
-        return _sum_per_class(jvps, labels, scale, gset)
-    return [_sum_per_class(j, y, scale, gset) for j, y in zip(jvps, labels)]
+        return _sum_per_class(jvps[None], labels[None], scale, gset)[0]
+    return _sum_per_class(jvps, labels, scale, gset)
 
 
 def _sum_per_class(
     jvps: np.ndarray, labels: np.ndarray, scale: float, gset: GuidingVectorSet
-) -> GuidanceGradient:
-    """One client's JVP rows summed per study-batch class, times ``scale``."""
-    per_class = np.zeros_like(gset.vectors)
-    present = np.zeros(gset.class_count, dtype=bool)
-    for y in np.unique(labels):
-        per_class[y] = scale * jvps[labels == y].sum(axis=0)
-        present[y] = True
-    return GuidanceGradient(per_class, present)
+) -> list[GuidanceGradient]:
+    """Each client's JVP rows (k, n, M) summed per study-batch class (k, n),
+    times ``scale``: one scatter for the whole stack. ``np.add.at`` adds the
+    rows of a class in index order, the order a sum over the selected rows
+    takes, so the bits equal that sum's, except that a class whose rows are
+    all -0.0 sums to +0.0 here."""
+    k = labels.shape[0]
+    rows = (np.arange(k)[:, None], labels)
+    per_class = np.zeros((k, *gset.vectors.shape))
+    np.add.at(per_class, rows, jvps)
+    per_class *= scale
+    present = np.zeros((k, gset.class_count), dtype=bool)
+    present[rows] = True
+    return [GuidanceGradient(g, p) for g, p in zip(per_class, present)]
 
 
 def server_update(

@@ -9,10 +9,12 @@ clients while head shape stays K -> C. Parameters live in one flat vector;
 blocks are views into it, so unpacking is free and serialization trivial.
 
 All functions here are pure: they never mutate their inputs, write only
-into an ``out`` array the caller passes in, and are safe to call from many
-threads at once (on distinct ``out`` arrays). The block views of a
+into an ``out`` ModelParams the caller passes in, and are safe to call from
+many threads at once (on distinct ``out`` buffers). The block views of a
 ``ModelParams`` are built on its first use and cached on the object; it is
-frozen, so they always address its own ``flat``.
+frozen, so they always address its own ``flat``. A gradient buffer is a
+``ModelParams`` too, so its block views are bound once and reused by every
+call that writes into it.
 
 The gradient kernels are rank-polymorphic: given a stack of k clients of one
 architecture (``params.flat`` (k, P), inputs (k, n, d), labels (k, n)) they
@@ -275,12 +277,6 @@ def _ce_rows(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return lse - shifted[np.arange(labels.shape[0]), labels]
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _check_labels(labels: np.ndarray, class_count: int):
     if labels.size and (labels.min() < 0 or labels.max() >= class_count):
         raise ContractViolation(f"labels out of range [0, {class_count})")
@@ -333,91 +329,103 @@ def grad_params(
     params: ModelParams,
     batch: MiniBatch,
     cfg: LossConfig,
-    out: np.ndarray | None = None,
+    out: ModelParams | None = None,
 ) -> np.ndarray:
     """Exact reverse-mode gradient of the mean combined loss over the batch.
 
     Returns a flat P-vector in the same layout as ``params.flat``; for a
     stack of k clients and k batches, the (k, P) stack of their gradients.
-    ``out``, when given, is a float64 array shaped like ``params.flat`` and
-    not overlapping it; the gradient is written into it and it is returned.
+    ``out``, when given, is a ModelParams whose float64 ``flat`` is shaped
+    like ``params.flat`` and does not overlap it; the gradient is written
+    through its cached block views and ``out.flat`` is returned.
     """
     _check_labels(batch.labels, spec.class_count)
     x = batch.inputs
     _check_stack(params, x, spec, "batch inputs")
-    if out is not None and (out.shape != params.flat.shape or out.dtype != np.float64):
+    if out is None:
+        out = ModelParams(np.empty_like(params.flat), params.offsets, params.extractor_end)
+    elif out.flat.shape != params.flat.shape or out.flat.dtype != np.float64:
         raise ContractViolation(
-            f"out is {out.dtype} {out.shape}, expected float64 {params.flat.shape}"
+            f"out is {out.flat.dtype} {out.flat.shape}, expected float64 {params.flat.shape}"
         )
     n = batch.labels.shape[-1]
     blocks = params.blocks(spec)
+    depth = spec.depth
+    relu = spec.activation == "relu"
 
-    # Forward, caching pre-activations of hidden layers and all layer inputs.
+    # Forward, keeping every layer's input; each temporary is written in
+    # place, with the same operations in the same order as forward_batch.
     layer_inputs = [x]  # input to affine block l
-    pre_acts = []
     z = x
-    for _, wt, _, b_row in blocks[: spec.depth]:
-        a = z @ wt + b_row
-        pre_acts.append(a)
-        z = _act(spec.activation, a)
+    for _, wt, _, b_row in blocks[:depth]:
+        a = z @ wt
+        a += b_row
+        z = np.maximum(a, 0.0, out=a) if relu else np.tanh(a)
         layer_inputs.append(z)
-    w_f, wt_f, _, b_row_f = blocks[spec.depth]
-    features = z @ wt_f + b_row_f
-    w_h, wt_h, _, b_row_h = blocks[spec.depth + 1]
-    logits = features @ wt_h + b_row_h
+    w_f, wt_f, _, b_row_f = blocks[depth]
+    features = z @ wt_f
+    features += b_row_f
+    w_h, wt_h, _, b_row_h = blocks[depth + 1]
+    logits = features @ wt_h
+    logits += b_row_h
 
     # Output-side gradients of the mean loss.
     if cfg.use_ce:
-        probs = _softmax(logits)
-        rows = probs.reshape(-1, probs.shape[-1])  # a view: probs is fresh
+        d_logits = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+        np.exp(d_logits, out=d_logits)
+        d_logits /= np.add.reduce(d_logits, axis=-1, keepdims=True)  # softmax
+        rows = d_logits.reshape(-1, d_logits.shape[-1])  # a view: d_logits is fresh
         rows[np.arange(rows.shape[0]), batch.labels.reshape(-1)] -= 1.0
-        d_logits = probs / n
+        d_logits /= n
     else:
         d_logits = np.zeros_like(logits)
     d_features_direct = None
     if cfg.guide_vectors is not None:
         guided = logits if cfg.guide_space == "logit" else features
-        targets = cfg.guide_vectors[batch.labels]
-        if guided.shape[-1] != targets.shape[-1]:
+        d_guided = cfg.guide_vectors[batch.labels]  # the targets, then overwritten
+        if guided.shape[-1] != d_guided.shape[-1]:
             raise ContractViolation(
-                f"guide vectors have dim {targets.shape[-1]}, guided output {guided.shape[-1]}"
+                f"guide vectors have dim {d_guided.shape[-1]}, guided output {guided.shape[-1]}"
             )
-        m = targets.shape[-1]
-        d_guided = (2.0 * cfg.guide_weight / (m * n)) * (guided - targets)
+        np.subtract(guided, d_guided, out=d_guided)
+        d_guided *= 2.0 * cfg.guide_weight / (d_guided.shape[-1] * n)
         if cfg.guide_valid is not None:
-            d_guided = d_guided * cfg.guide_valid[batch.labels][..., None]
+            d_guided *= cfg.guide_valid[batch.labels][..., None]
         if cfg.guide_space == "logit":
             d_logits += d_guided
         else:
             d_features_direct = d_guided
 
-    # Each block's gradient is written straight into its slice of ``grad``;
+    # Each block's gradient is written straight into its view of ``out``;
     # the blocks tile the vector, so every entry is written once.
-    grad = np.empty_like(params.flat) if out is None else out
-    g_blocks = _affines(spec, grad)
+    g_blocks = out.blocks(spec)
 
-    gw_h, gb_h = g_blocks[spec.depth + 1]
+    gw_h, _, gb_h, _ = g_blocks[depth + 1]
     np.matmul(_t(d_logits), features, out=gw_h)
     np.add.reduce(d_logits, axis=-2, out=gb_h)
     d_features = d_logits @ w_h
     if d_features_direct is not None:
         d_features += d_features_direct
 
-    gw_f, gb_f = g_blocks[spec.depth]
-    np.matmul(_t(d_features), layer_inputs[spec.depth], out=gw_f)
+    gw_f, _, gb_f, _ = g_blocks[depth]
+    np.matmul(_t(d_features), layer_inputs[depth], out=gw_f)
     np.add.reduce(d_features, axis=-2, out=gb_f)
     d_z = d_features @ w_f
 
-    for l in range(spec.depth - 1, -1, -1):
-        d_a = d_z * _act_deriv(spec.activation, pre_acts[l])
-        gw, gb = g_blocks[l]
-        np.matmul(_t(d_a), layer_inputs[l], out=gw)
-        np.add.reduce(d_a, axis=-2, out=gb)
+    for l in range(depth - 1, -1, -1):
+        # Activation derivative from the layer's output z: with relu,
+        # z > 0 exactly where its pre-activation is; with tanh, 1 - z^2.
+        z = layer_inputs[l + 1]
+        d_z *= (z > 0.0) if relu else 1.0 - z * z
+        gw, _, gb, _ = g_blocks[l]
+        np.matmul(_t(d_z), layer_inputs[l], out=gw)
+        np.add.reduce(d_z, axis=-2, out=gb)
         if l:  # the input gradient of block 0 is never read
-            d_z = d_a @ blocks[l][0]
+            d_z = d_z @ blocks[l][0]
 
     # -0.0 to +0.0, as accumulating into a zeroed buffer does; this also
     # makes skipping the all-zero feature-side term above bit-neutral.
+    grad = out.flat
     grad += 0.0
     return grad
 
@@ -485,7 +493,7 @@ def run_sgd_epoch(
     eta_c: float,
     batch_size: int,
     rngs: Sequence[np.random.Generator],
-) -> list[ModelParams]:
+) -> tuple[list[ModelParams], ModelParams]:
     """One local epoch for each client of a same-spec group, in lockstep.
 
     Client j takes floor(n_j / batch_size) SGD steps on shuffled batches of
@@ -493,43 +501,50 @@ def run_sgd_epoch(
     and drops the remainder. Clients are stacked by step count, most first,
     so those still stepping at step s are a prefix of the stack, and each
     step is one stacked gradient and one in-place update of that prefix.
-    Returns new params in input order; a client that takes no step gets its
-    own ``params`` object back.
+
+    Returns the new params in input order, each owning a copy of its row (a
+    client that takes no step gets its own ``params`` object back), and the
+    group's (k, P) stack of them in input order. When the input is already
+    ordered by step count, most first, that stack is the one the epoch
+    stepped, so a caller needs no second copy of the group.
     """
     steps = [x.shape[0] // batch_size for x in inputs]
-    order = sorted((j for j in range(len(params)) if steps[j] > 0), key=lambda j: -steps[j])
+    order = sorted(range(len(params)), key=lambda j: -steps[j])
+    stepping = order[: sum(n > 0 for n in steps)]
     out = list(params)
-    if not order:
-        return out
-    # Every client's batches in step order, laid out once: xs[row, s] is the
-    # batch of stack row ``row`` at step s (rows past its last step unused).
-    shape = (len(order), steps[order[0]], batch_size)
+    # Every stepping client's batches in step order, laid out once: xs[row, s]
+    # is the batch of stack row ``row`` at step s (rows past its last step
+    # unused).
+    shape = (len(stepping), steps[order[0]], batch_size)
     xs = np.zeros(shape + inputs[order[0]].shape[1:])
     ys = np.zeros(shape, dtype=np.int64)
-    for row, j in enumerate(order):
+    for row, j in enumerate(stepping):
         used = rngs[j].permutation(inputs[j].shape[0])[: steps[j] * batch_size]
         xs[row, : steps[j]] = inputs[j][used].reshape(steps[j], batch_size, -1)
         ys[row, : steps[j]] = labels[j][used].reshape(steps[j], batch_size)
     stacked = stack_params([params[j] for j in order])
     flat = stacked.flat
-    grad = np.empty_like(flat)  # one gradient buffer for the whole epoch
+    grad = np.empty((len(stepping), flat.shape[1]))  # one gradient buffer for the epoch
     active = 0
     for s in range(shape[1]):
-        if active == 0 or steps[order[active - 1]] <= s:
+        if active == 0 or steps[stepping[active - 1]] <= s:
             # The prefix still stepping shrank (or this is the first step):
             # bind it, and its slice of the gradient buffer, once.
-            active = sum(steps[j] > s for j in order)
+            active = sum(steps[j] > s for j in stepping)
             theta, g = flat[:active], grad[:active]
             prefix = ModelParams(theta, stacked.offsets, stacked.extractor_end)
+            g_prefix = ModelParams(g, stacked.offsets, stacked.extractor_end)
         batch = _layout_batch(xs[:active, s], ys[:active, s])
-        grad_params(spec, prefix, batch, cfg, out=g)
+        grad_params(spec, prefix, batch, cfg, out=g_prefix)
         g *= eta_c
         theta -= g
-    for row, j in enumerate(order):
+    for row, j in enumerate(stepping):
         # A copy, so a client that sits out later rounds does not keep the
         # whole group's stack alive.
         out[j] = ModelParams(flat[row].copy(), stacked.offsets, stacked.extractor_end)
-    return out
+    if order != sorted(order):
+        stacked = ModelParams(flat[np.argsort(order)], stacked.offsets, stacked.extractor_end)
+    return out, stacked
 
 
 def family_spec(

@@ -8,18 +8,22 @@ from fedguide import nn
 from fedguide.baselines import (
     PrototypeSet,
     aggregate_prototypes,
-    baseline_client_loss,
     empty_prototypes,
-    local_only_round,
     local_prototypes,
+    prototype_loss_config,
 )
 from fedguide.data import Dataset
 from fedguide.errors import ContractViolation
-from fedguide.guidance import GuidingVectorSet, client_total_loss
+from fedguide.guidance import GuidingVectorSet, guided_loss_config
 from fedguide.nn import LossConfig, MiniBatch, ModelSpec
 from fedguide.rng import stream
 
 from helpers import random_instance
+
+
+def baseline_client_loss(spec, params, batch, pset):
+    """Mean ce + mse(guided output, g^y), skipping samples with invalid rows."""
+    return nn.total_loss(spec, params, batch, prototype_loss_config(pset))
 
 
 def make_study(seed, n=12, c=3, d=4):
@@ -118,7 +122,7 @@ def test_baseline_loss_equals_guided_loss_when_all_valid():
     pset = PrototypeSet(vectors, np.ones(3, dtype=int), "feature")
     gset = GuidingVectorSet(vectors, "feature")
     assert baseline_client_loss(spec, params, batch, pset) == pytest.approx(
-        client_total_loss(spec, params, batch, gset), abs=1e-14
+        nn.total_loss(spec, params, batch, guided_loss_config(gset)), abs=1e-14
     )
 
 
@@ -128,10 +132,25 @@ def test_local_only_round_deterministic_and_trains():
         spec = nn.family_spec(i, 4, 5, 3, "tanh")
         params = nn.init_params(spec, stream(0, 3, i))
         clients.append((spec, params, make_study(i, n=24)))
-    rngs1 = [stream(0, 6, i, 1) for i in range(3)]
-    rngs2 = [stream(0, 6, i, 1) for i in range(3)]
-    out1 = local_only_round(clients, 0.05, rngs1)
-    out2 = local_only_round(clients, 0.05, rngs2)
+
+    def local_only_round(round_index):
+        # one epoch of pure cross-entropy SGD per client; no communication
+        return [
+            nn.run_sgd_epoch(
+                spec,
+                [params],
+                [study.inputs],
+                [study.labels],
+                LossConfig(use_ce=True),
+                0.05,
+                10,
+                [stream(0, 6, i, round_index)],
+            )[0][0]
+            for i, (spec, params, study) in enumerate(clients)
+        ]
+
+    out1 = local_only_round(1)
+    out2 = local_only_round(1)
     for p1, p2, (spec, before, _) in zip(out1, out2, clients):
         assert np.array_equal(p1.flat, p2.flat)
         assert not np.array_equal(p1.flat, before.flat)

@@ -7,14 +7,14 @@ import pytest
 
 from fedguide import guidance, nn
 from fedguide.data import Dataset
-from fedguide.errors import ContractViolation
+from fedguide.errors import ConfigError, ContractViolation
+from fedguide.federation import RunConfig
 from fedguide.guidance import (
-    GuidanceConfig,
     GuidanceGradient,
     GuidingVectorSet,
     add_privacy_noise,
-    client_total_loss,
     guidance_gradient,
+    guided_loss_config,
     init_guiding_vectors,
     local_train_epoch,
     pseudo_train,
@@ -32,6 +32,11 @@ def make_instance(seed, space="feature", class_count=3, feature_dim=5):
     gset = GuidingVectorSet(0.3 * rng.standard_normal((class_count, m)), space)
     quiz = MiniBatch(rng.standard_normal((4, 4)), rng.integers(0, class_count, 4))
     return spec, params, batch, quiz, gset, rng
+
+
+def client_total_loss(spec, params, batch, gset):
+    """Mean over the batch of ce(logits, y) + mse(guided_output, v^y)."""
+    return nn.total_loss(spec, params, batch, guided_loss_config(gset))
 
 
 def test_client_total_loss_reduces_to_ce_when_vectors_match_outputs():
@@ -146,6 +151,32 @@ def test_stacked_guidance_gradient_equals_each_client_alone(space):
         alone = guidance_gradient(spec, p, b, q, gset, 0.05)
         assert g.per_class.tobytes() == alone.per_class.tobytes()
         assert np.array_equal(g.present, alone.present)
+
+
+def _sum_per_class_one_client(jvps, labels, scale, class_count):
+    """Reference: one client's JVP rows summed class by class."""
+    per_class = np.zeros((class_count, jvps.shape[-1]))
+    present = np.zeros(class_count, dtype=bool)
+    for y in np.unique(labels):
+        per_class[y] = scale * jvps[labels == y].sum(axis=0)
+        present[y] = True
+    return per_class, present
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_stacked_class_sums_equal_the_per_client_loop_bitwise(k):
+    rng = stream(9, k)
+    gset = GuidingVectorSet(np.zeros((10, 32)), "feature")
+    jvps = rng.standard_normal((k, 10, 32))
+    labels = rng.integers(0, 4, (k, 10))  # repeated classes; classes 4-9 absent
+    labels[0, :3] = 9  # rows of one class spread over the batch
+    labels[0, -1] = 9
+    got = guidance._sum_per_class(jvps, labels, 0.037, gset)
+    assert len(got) == k
+    for g, j, y in zip(got, jvps, labels):
+        per_class, present = _sum_per_class_one_client(j, y, 0.037, 10)
+        assert g.per_class.tobytes() == per_class.tobytes()
+        assert np.array_equal(g.present, present)
 
 
 def test_guidance_gradient_absent_class_zero_row():
@@ -301,9 +332,10 @@ def test_add_privacy_noise_fraction_of_coordinates():
 
 
 def test_guidance_config_validation():
-    with pytest.raises(ContractViolation):
-        GuidanceConfig(eta_c=0.0, eta_s=1.0, space="logit")
-    with pytest.raises(ContractViolation):
-        GuidanceConfig(eta_c=0.1, eta_s=-1.0, space="feature")
-    cfg = GuidanceConfig(eta_c=0.01, eta_s=0.1, space="logit")
-    assert cfg.guiding_weight == 1.0
+    with pytest.raises(ConfigError):
+        RunConfig(method="fedl2g-l", eta_c=0.0, eta_s=1.0).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(method="fedl2g-f", eta_c=0.1, eta_s=-1.0).validate()
+    RunConfig(method="fedl2g-l", eta_c=0.01, eta_s=0.1).validate()
+    gset = GuidingVectorSet(np.zeros((3, 3)), "logit")
+    assert guided_loss_config(gset).guide_weight == 1.0  # ce and guide weighted equally

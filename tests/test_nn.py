@@ -8,7 +8,7 @@ import pytest
 
 from fedguide import nn
 from fedguide.errors import ContractViolation
-from fedguide.nn import LossConfig, MiniBatch, ModelSpec
+from fedguide.nn import LossConfig, MiniBatch, ModelParams, ModelSpec
 from fedguide.rng import stream
 
 from helpers import fd_grad_params, fd_jvp, random_instance, rel_error
@@ -357,14 +357,16 @@ def test_lockstep_epoch_equals_each_client_alone(mode):
     labels = [rng.integers(0, 4, n) for n in sizes]
     rngs = [stream(5, 6, j) for j in range(len(sizes))]
 
-    out = nn.run_sgd_epoch(spec, params, inputs, labels, cfg, 0.05, 10, rngs)
+    out, stacked = nn.run_sgd_epoch(spec, params, inputs, labels, cfg, 0.05, 10, rngs)
     assert out[0] is params[0]  # no step: the very same object comes back
+    assert stacked.flat.shape == (len(sizes), nn.param_count(spec))
     for j in range(len(sizes)):
         expected = _epoch_one_client_at_a_time(
             spec, params[j], inputs[j], labels[j], cfg, 0.05, 10, stream(5, 6, j)
         )
         assert out[j].flat.tobytes() == expected.flat.tobytes(), j
-        alone = nn.run_sgd_epoch(
+        assert stacked.flat[j].tobytes() == expected.flat.tobytes(), j
+        alone, _ = nn.run_sgd_epoch(
             spec, [params[j]], [inputs[j]], [labels[j]], cfg, 0.05, 10, [stream(5, 6, j)]
         )
         assert alone[0].flat.tobytes() == out[j].flat.tobytes(), j
@@ -382,19 +384,31 @@ def test_grad_params_into_out_buffer_is_the_allocating_call(variant, mode, k):
     batches = [MiniBatch(rng.standard_normal((10, 32)), rng.integers(0, 10, 10)) for _ in range(k)]
     for p, b in [(params[0], batches[0]), (nn.stack_params(params), nn.stack_batches(batches))]:
         expected = nn.grad_params(spec, p, b, cfg)
-        buf = np.full_like(p.flat, np.nan)  # stale contents must not leak through
+        # stale contents must not leak through
+        buf = ModelParams(np.full_like(p.flat, np.nan), p.offsets, p.extractor_end)
         got = nn.grad_params(spec, p, b, cfg, out=buf)
-        assert got is buf
+        assert got is buf.flat
         assert got.tobytes() == expected.tobytes()
+        # a second call through the same buffer reuses its bound views
+        views = buf.blocks(spec)
+        assert nn.grad_params(spec, p, b, cfg, out=buf).tobytes() == expected.tobytes()
+        assert buf.blocks(spec) is views
 
 
 def test_grad_params_rejects_a_misshapen_out_buffer():
     spec, params, batch, _ = random_instance(4)
+    def buffer(flat):
+        return ModelParams(flat, params.offsets, params.extractor_end)
+
     with pytest.raises(ContractViolation, match="out is"):
-        nn.grad_params(spec, params, batch, LossConfig(), out=np.zeros(3))
+        nn.grad_params(spec, params, batch, LossConfig(), out=buffer(np.zeros(3)))
     with pytest.raises(ContractViolation, match="out is"):
         nn.grad_params(
-            spec, params, batch, LossConfig(), out=np.zeros_like(params.flat, dtype=np.float32)
+            spec,
+            params,
+            batch,
+            LossConfig(),
+            out=buffer(np.zeros_like(params.flat, dtype=np.float32)),
         )
 
 
@@ -409,12 +423,12 @@ def test_epoch_results_share_no_memory(monkeypatch):
     original = nn.grad_params
 
     def recording(spec, params, batch, cfg, out=None):
-        buffers.append((params.flat, out))
+        buffers.append((params.flat, out.flat))
         return original(spec, params, batch, cfg, out=out)
 
     monkeypatch.setattr(nn, "grad_params", recording)
     rngs = [stream(6, 6, j) for j in range(len(sizes))]
-    out = nn.run_sgd_epoch(spec, params, inputs, labels, LossConfig(), 0.05, 10, rngs)
+    out, _ = nn.run_sgd_epoch(spec, params, inputs, labels, LossConfig(), 0.05, 10, rngs)
     assert len(buffers) == 7  # one call per step, through the module name
     stack, grad = buffers[0]
     assert grad is not None and not np.shares_memory(stack, grad)
@@ -423,6 +437,29 @@ def test_epoch_results_share_no_memory(monkeypatch):
         assert not np.shares_memory(p.flat, params[j].flat)
         for q in out[j + 1 :]:
             assert not np.shares_memory(p.flat, q.flat)
+
+
+def test_epoch_in_step_order_returns_the_stack_it_stepped(monkeypatch):
+    spec = nn.family_spec(1, 8, 6, 4)
+    rng = stream(6, 12)
+    sizes = [70, 50, 35, 12]  # most steps first, as a round's group orders them
+    params = [nn.init_params(spec, stream(6, 3, j)) for j in range(len(sizes))]
+    inputs = [rng.standard_normal((n, 8)) for n in sizes]
+    labels = [rng.integers(0, 4, n) for n in sizes]
+    stepped = []
+    original = nn.grad_params
+
+    def recording(spec, params, batch, cfg, out=None):
+        stepped.append(params.flat)
+        return original(spec, params, batch, cfg, out=out)
+
+    monkeypatch.setattr(nn, "grad_params", recording)
+    rngs = [stream(6, 6, j) for j in range(len(sizes))]
+    out, stacked = nn.run_sgd_epoch(spec, params, inputs, labels, LossConfig(), 0.05, 10, rngs)
+    assert np.shares_memory(stacked.flat, stepped[0])  # no second copy of the group
+    for j, p in enumerate(out):
+        assert stacked.flat[j].tobytes() == p.flat.tobytes()
+        assert not np.shares_memory(p.flat, stacked.flat)
 
 
 def test_cached_views_follow_in_place_updates():

@@ -3,21 +3,38 @@
 ``perfbench/tracing.py`` wraps engine functions by name and reads their
 arguments; a renamed or bypassed function silently empties its per-layer
 metrics, and a zero ``grad_params`` count breaks the duplicate-gradient
-ratio. This imports the harness module unmodified and runs every method
-under its Tracer and DupCounter, as ``perfbench/run.py --trace 1`` does.
+ratio. ``perfbench/run.py`` prints its result as JSON, so a metric that is
+absent or not finite spoils that result line. This imports the harness
+module unmodified and runs every method under its Tracer and DupCounter,
+as ``perfbench/run.py --trace 1`` does.
 """
 
+import json
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
+import fedguide.cli  # noqa: F401  (loaded before patching, as perfbench/run.py does)
 from fedguide.federation import GUIDED_METHODS, METHODS, run_training
 
 from helpers import small_config
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 import tracing  # noqa: E402
+
+# Per-layer metrics perfbench/run.py computes itself, outside Tracer.metrics().
+RUN_PY_METRICS = {
+    "nn.grad_params.dup_calls",
+    "nn.grad_params.useful_ratio",
+    "federation.run_round.p50_ms",
+    "federation.save_checkpoint.ms",
+    "federation.save_checkpoint.bytes",
+    "federation.load_checkpoint.ms",
+    "trace.overhead_ratio",
+}
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -34,6 +51,11 @@ def test_traced_run_calls_every_traced_layer(method):
 
     metrics = tracer.metrics()
     tracer.kernel_table()
+    assert {f"{m}.{n}" for m, n in tracing.TRACED} <= set(tracer.wrapped)
+    assert all(math.isfinite(v) for v in metrics.values()), metrics
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    absent = {m["name"] for m in declared} - RUN_PY_METRICS - set(metrics)
+    assert not absent, f"declared per-layer metrics not produced: {sorted(absent)}"
     called = ["nn.grad_params", "nn.forward_batch", "nn.run_sgd_epoch", "metrics.evaluate"]
     if method in GUIDED_METHODS:
         called += ["nn.jvp_guided_batch", "guidance.guidance_gradient", "guidance.server_update"]
