@@ -337,8 +337,8 @@ def _group_work(
     one stacked call over the group. Pure in its arguments."""
     seed = config.seed
     spec = members[0].spec
-    # Most epoch steps first, the epoch's own stacking order, so the stack it
-    # steps is already in member order and serves the calls below as is.
+    # Most epoch steps first, the order run_sgd_epoch requires; the stack it
+    # steps is then in member order and serves the calls below as is.
     members = sorted(members, key=lambda c: -(len(c.data.study) // config.batch_size))
     studies = [c.data.study for c in members]
     loss_cfg = _loss_config(config, payload)
@@ -407,13 +407,13 @@ def run_round(
     server: ServerState,
     clients: list[ClientState],
     config: RunConfig,
-    eval_cache: tuple[float, np.ndarray, float] | None = None,
+    last: RoundMetrics | None = None,
 ) -> tuple[ServerState, RoundMetrics]:
     """Execute one communication round; mutates participants' params and
     clients' evaluation scores in place.
 
-    ``eval_cache`` carries the previous evaluation for rounds that skip it
-    (eval_every > 1).
+    ``last`` is the previous round's metrics: a round that skips evaluation
+    (eval_every > 1) reports its accuracy and study ce again.
     """
     start = time.perf_counter()
     round_index = server.t + 1
@@ -470,7 +470,7 @@ def run_round(
         config.method,
     )
 
-    if round_index % config.eval_every == 0 or round_index == config.rounds or eval_cache is None:
+    if round_index % config.eval_every == 0 or round_index == config.rounds or last is None:
         scores = [c.score for c in clients]
         accuracy, per_client, mean_ce = evaluate(
             [(c.spec, c.params, c.data) for c in clients], scores, study_ce
@@ -478,9 +478,10 @@ def run_round(
         for c, score in zip(clients, scores):
             c.score = score
     else:
-        accuracy, per_client, mean_ce = eval_cache
+        accuracy, per_client, mean_ce = last.accuracy, last.per_client_accuracy, last.mean_ce
 
-    inc = 0.0 if not np.isfinite(server.min_ce) else max(0.0, mean_ce - server.min_ce)
+    # The rise above the running minimum; 0 on the first round (min_ce inf).
+    inc = max(0.0, mean_ce - server.min_ce)
     new_min = min(server.min_ce, mean_ce)
 
     grad_norm_sq = float(np.mean([r.grad_norm_sq for r in results]))
@@ -528,10 +529,8 @@ def run_training(
     else:
         server = build_server(config)
     history: list[RoundMetrics] = []
-    eval_cache = None
     while server.t < config.rounds:
-        server, metrics = run_round(server, clients, config, eval_cache)
-        eval_cache = (metrics.accuracy, metrics.per_client_accuracy, metrics.mean_ce)
+        server, metrics = run_round(server, clients, config, history[-1] if history else None)
         history.append(metrics)
         if checkpoint_at is not None and server.t == checkpoint_at:
             if checkpoint_path is None:

@@ -1,5 +1,5 @@
-"""Evaluation, loss-increase tracking, communication-byte accounting,
-convergence detection, and vector-separability diagnostics."""
+"""Evaluation, communication-byte accounting, convergence detection, and
+vector-separability diagnostics."""
 
 from __future__ import annotations
 
@@ -109,21 +109,6 @@ def evaluate(
         total += len(data.test)
         ce_values[i] = score.study_ce
     return correct / total, per_client, float(ce_values.mean())
-
-
-def loss_increase(history: Sequence[float]) -> np.ndarray:
-    """Per-round rise of the ce history above its previous minimum.
-
-    Entry t is max(0, history[t] - min(history[:t])); the first entry is 0.
-    """
-    if len(history) == 0:
-        raise ContractViolation("loss_increase needs a nonempty history")
-    out = np.zeros(len(history))
-    running_min = history[0]
-    for t in range(1, len(history)):
-        out[t] = max(0.0, history[t] - running_min)
-        running_min = min(running_min, history[t])
-    return out
 
 
 def account_bytes(

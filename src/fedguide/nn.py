@@ -7,6 +7,14 @@ layers plus a linear projection to the feature dimension) and a single
 affine classifier head, matching the convention that extractors vary across
 clients while head shape stays K -> C. Parameters live in one flat vector;
 blocks are views into it, so unpacking is free and serialization trivial.
+The block layout is a function of the spec alone (``_layout``), so a
+``ModelParams`` carries only its vector.
+
+The forward pass is written once (``_forward``). The three kernels all use
+first-order derivatives only, so each runs that same pass: ``forward_batch``
+returns its last two outputs, ``grad_params`` back-propagates through every
+layer's output, and ``jvp_guided_batch`` pushes tangents through it, taking
+each activation's derivative from the layer's output.
 
 All functions here are pure: they never mutate their inputs, write only
 into an ``out`` ModelParams the caller passes in, and are safe to call from
@@ -91,22 +99,21 @@ def param_count(spec: ModelSpec) -> int:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Flat float64 parameter vector plus the block layout that addresses it.
+    """Flat float64 parameter vector of one model, laid out by its spec.
 
+    With ``offsets, extractor_end = _layout(spec)``,
     ``flat[offsets[i]:offsets[i+1]]`` is affine block i (weights row-major,
-    then biases); ``flat[:extractor_end]`` is exactly the extractor. A stack
-    of k same-spec clients has ``flat`` of shape (k, P) (see stack_params).
-    Frozen, so ``flat`` is never rebound and the cached block views stay
-    valid; updating ``flat`` in place shows through them.
+    then biases) and ``flat[:extractor_end]`` is exactly the extractor. A
+    stack of k same-spec clients has ``flat`` of shape (k, P) (see
+    stack_params). Frozen, so ``flat`` is never rebound and the cached block
+    views stay valid; updating ``flat`` in place shows through them.
     """
 
     flat: np.ndarray
-    offsets: tuple[int, ...]
-    extractor_end: int
     _views: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.flat.copy(), self.offsets, self.extractor_end)
+        return ModelParams(self.flat.copy())
 
     def blocks(self, spec: "ModelSpec") -> list[tuple[np.ndarray, ...]]:
         """(W, W^T, b, b as a row) views of every affine block of ``flat``,
@@ -120,13 +127,12 @@ class ModelParams:
 
 def params_from_flat(spec: ModelSpec, flat: np.ndarray) -> ModelParams:
     """Wrap a flat vector as ModelParams, validating its length against spec."""
-    offsets, extractor_end = _layout(spec)
     flat = np.asarray(flat, dtype=np.float64)
-    if flat.ndim != 1 or flat.shape[0] != offsets[-1]:
+    if flat.ndim != 1 or flat.shape[0] != param_count(spec):
         raise ContractViolation(
-            f"parameter vector has length {flat.shape}, spec implies {offsets[-1]}"
+            f"parameter vector has length {flat.shape}, spec implies {param_count(spec)}"
         )
-    return ModelParams(flat, offsets, extractor_end)
+    return ModelParams(flat)
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> ModelParams:
@@ -151,8 +157,7 @@ def _block_slices(spec: ModelSpec) -> tuple[tuple[slice, tuple[int, int], slice]
 
 def stack_params(params: Sequence[ModelParams]) -> ModelParams:
     """The parameters of same-spec clients as one (k, P) stack."""
-    first = params[0]
-    return ModelParams(np.stack([p.flat for p in params]), first.offsets, first.extractor_end)
+    return ModelParams(np.stack([p.flat for p in params]))
 
 
 def _affines(spec: ModelSpec, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -171,21 +176,6 @@ def _bound_views(spec: ModelSpec, vec: np.ndarray) -> list[tuple[np.ndarray, ...
 def _t(a: np.ndarray) -> np.ndarray:
     """Transpose of each matrix of a stack (of a lone matrix too)."""
     return a.swapaxes(-1, -2)
-
-
-def _act(name: str, a: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(a, 0.0)
-    return np.tanh(a)
-
-
-def _act_deriv(name: str, a: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        # Subgradient at exactly 0 is defined as 0. A bool mask: multiplying
-        # by it gives the same bits as multiplying by its 0.0/1.0 floats.
-        return a > 0.0
-    t = np.tanh(a)
-    return 1.0 - t * t
 
 
 @dataclass
@@ -227,6 +217,22 @@ def stack_batches(batches: Sequence[MiniBatch]) -> MiniBatch:
     return MiniBatch(np.stack([b.inputs for b in batches]), np.stack([b.labels for b in batches]))
 
 
+def _forward(spec: ModelSpec, params: ModelParams, x: np.ndarray) -> list[np.ndarray]:
+    """Every layer's output on inputs ``x`` (already checked): ``x`` itself,
+    each hidden activation, the features and the logits, so entry l is the
+    input to affine block l. Each output is a fresh array written in place.
+    """
+    relu = spec.activation == "relu"
+    outs = [x]
+    for l, (_, wt, _, b_row) in enumerate(params.blocks(spec)):
+        a = outs[-1] @ wt
+        a += b_row
+        if l < spec.depth:
+            a = np.maximum(a, 0.0, out=a) if relu else np.tanh(a, out=a)
+        outs.append(a)
+    return outs
+
+
 def forward_batch(
     spec: ModelSpec, params: ModelParams, inputs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -236,14 +242,7 @@ def forward_batch(
         raise ContractViolation(
             f"inputs have shape {x.shape}, spec expects (*, {spec.input_dim})"
         )
-    blocks = params.blocks(spec)
-    z = x
-    for _, wt, _, b_row in blocks[: spec.depth]:
-        z = _act(spec.activation, z @ wt + b_row)
-    _, wt_f, _, b_row_f = blocks[spec.depth]
-    features = z @ wt_f + b_row_f
-    _, wt_h, _, b_row_h = blocks[spec.depth + 1]
-    logits = features @ wt_h + b_row_h
+    *_, features, logits = _forward(spec, params, x)
     return features, logits
 
 
@@ -343,7 +342,7 @@ def grad_params(
     x = batch.inputs
     _check_stack(params, x, spec, "batch inputs")
     if out is None:
-        out = ModelParams(np.empty_like(params.flat), params.offsets, params.extractor_end)
+        out = ModelParams(np.empty_like(params.flat))
     elif out.flat.shape != params.flat.shape or out.flat.dtype != np.float64:
         raise ContractViolation(
             f"out is {out.flat.dtype} {out.flat.shape}, expected float64 {params.flat.shape}"
@@ -352,22 +351,8 @@ def grad_params(
     blocks = params.blocks(spec)
     depth = spec.depth
     relu = spec.activation == "relu"
-
-    # Forward, keeping every layer's input; each temporary is written in
-    # place, with the same operations in the same order as forward_batch.
-    layer_inputs = [x]  # input to affine block l
-    z = x
-    for _, wt, _, b_row in blocks[:depth]:
-        a = z @ wt
-        a += b_row
-        z = np.maximum(a, 0.0, out=a) if relu else np.tanh(a)
-        layer_inputs.append(z)
-    w_f, wt_f, _, b_row_f = blocks[depth]
-    features = z @ wt_f
-    features += b_row_f
-    w_h, wt_h, _, b_row_h = blocks[depth + 1]
-    logits = features @ wt_h
-    logits += b_row_h
+    layer_inputs = _forward(spec, params, x)  # entry l is the input to block l
+    features, logits = layer_inputs[depth + 1], layer_inputs[depth + 2]
 
     # Output-side gradients of the mean loss.
     if cfg.use_ce:
@@ -403,14 +388,14 @@ def grad_params(
     gw_h, _, gb_h, _ = g_blocks[depth + 1]
     np.matmul(_t(d_logits), features, out=gw_h)
     np.add.reduce(d_logits, axis=-2, out=gb_h)
-    d_features = d_logits @ w_h
+    d_features = d_logits @ blocks[depth + 1][0]
     if d_features_direct is not None:
         d_features += d_features_direct
 
     gw_f, _, gb_f, _ = g_blocks[depth]
     np.matmul(_t(d_features), layer_inputs[depth], out=gw_f)
     np.add.reduce(d_features, axis=-2, out=gb_f)
-    d_z = d_features @ w_f
+    d_z = d_features @ blocks[depth][0]
 
     for l in range(depth - 1, -1, -1):
         # Activation derivative from the layer's output z: with relu,
@@ -440,8 +425,9 @@ def jvp_guided_batch(
     """Per-sample directional derivative of the guided map along ``direction``.
 
     The guided map is the full network (space "logit") or the extractor alone
-    (space "feature"). Tangents propagate forward alongside the values, so
-    one pass yields J_g(x, params) @ direction for every row of ``inputs``.
+    (space "feature"). Tangents are pushed forward through the layer outputs
+    of one forward pass, yielding J_g(x, params) @ direction for every row of
+    ``inputs``.
     Head coordinates of ``direction`` are never read in feature space. For a
     stack of k clients, ``direction`` is (k, P), ``inputs`` (k, n, d), and the
     result (k, n, M).
@@ -455,25 +441,27 @@ def jvp_guided_batch(
         )
     x = np.asarray(inputs, dtype=np.float64)
     _check_stack(params, x, spec, "inputs")
+    layers = _forward(spec, params, x)
+    relu = spec.activation == "relu"
     blocks = params.blocks(spec)
-    d_blocks = _bound_views(spec, direction)
-
-    z = x
-    dz = np.zeros_like(x)
-    for (_, wt, _, b_row), (_, dwt, _, db_row) in zip(
-        blocks[: spec.depth], d_blocks[: spec.depth]
-    ):
-        a = z @ wt + b_row
-        da = dz @ wt + z @ dwt + db_row
-        dz = _act_deriv(spec.activation, a) * da
-        z = _act(spec.activation, a)
-    (_, wt_f, _, b_row_f), (_, dwt_f, _, db_row_f) = blocks[spec.depth], d_blocks[spec.depth]
-    features = z @ wt_f + b_row_f
-    d_features = dz @ wt_f + z @ dwt_f + db_row_f
     if space == "feature":
-        return d_features
-    (_, wt_h, _, _), (_, dwt_h, _, db_row_h) = blocks[spec.depth + 1], d_blocks[spec.depth + 1]
-    return d_features @ wt_h + features @ dwt_h + db_row_h
+        blocks = blocks[:-1]  # the extractor alone
+    # The tangent of block l's output is dz @ W^T + z @ dW^T + db, with z
+    # and dz the value and tangent of its input; the inputs' own tangent is
+    # zero, so block 0 starts from z @ dW^T alone.
+    dz = None
+    for l, ((_, wt, _, _), (_, dwt, _, db_row)) in enumerate(
+        zip(blocks, _bound_views(spec, direction))
+    ):
+        da = layers[l] @ dwt if dz is None else dz @ wt + layers[l] @ dwt
+        da += db_row
+        if l < spec.depth:
+            # The activation's derivative from its output z, as grad_params
+            # takes it (relu's subgradient at 0 is 0).
+            z = layers[l + 1]
+            da *= (z > 0.0) if relu else 1.0 - z * z
+        dz = da
+    return dz
 
 
 def sgd_step(params: ModelParams, gradient: np.ndarray, eta_c: float) -> ModelParams:
@@ -481,7 +469,7 @@ def sgd_step(params: ModelParams, gradient: np.ndarray, eta_c: float) -> ModelPa
     gradient = np.asarray(gradient, dtype=np.float64)
     if gradient.shape != params.flat.shape:
         raise ContractViolation("gradient shape does not match params")
-    return ModelParams(params.flat - eta_c * gradient, params.offsets, params.extractor_end)
+    return ModelParams(params.flat - eta_c * gradient)
 
 
 def run_sgd_epoch(
@@ -498,52 +486,51 @@ def run_sgd_epoch(
 
     Client j takes floor(n_j / batch_size) SGD steps on shuffled batches of
     its own samples (``inputs[j]``, ``labels[j]``, permuted by ``rngs[j]``)
-    and drops the remainder. Clients are stacked by step count, most first,
+    and drops the remainder. Clients come ordered by step count, most first,
     so those still stepping at step s are a prefix of the stack, and each
     step is one stacked gradient and one in-place update of that prefix.
 
     Returns the new params in input order, each owning a copy of its row (a
     client that takes no step gets its own ``params`` object back), and the
-    group's (k, P) stack of them in input order. When the input is already
-    ordered by step count, most first, that stack is the one the epoch
-    stepped, so a caller needs no second copy of the group.
+    (k, P) stack the epoch stepped, whose row j is client j's new params.
     """
     steps = [x.shape[0] // batch_size for x in inputs]
-    order = sorted(range(len(params)), key=lambda j: -steps[j])
-    stepping = order[: sum(n > 0 for n in steps)]
+    for j in range(1, len(steps)):
+        if steps[j] > steps[j - 1]:
+            raise ContractViolation(
+                f"run_sgd_epoch needs clients ordered by step count, most first: client "
+                f"{j} takes {steps[j]} steps after client {j - 1}'s {steps[j - 1]}"
+            )
+    stepping = sum(n > 0 for n in steps)  # a prefix of the clients
     out = list(params)
-    # Every stepping client's batches in step order, laid out once: xs[row, s]
-    # is the batch of stack row ``row`` at step s (rows past its last step
-    # unused).
-    shape = (len(stepping), steps[order[0]], batch_size)
-    xs = np.zeros(shape + inputs[order[0]].shape[1:])
+    # Every stepping client's batches in step order, laid out once: xs[j, s]
+    # is the batch of client j at step s (entries past its last step unused).
+    shape = (stepping, steps[0], batch_size)
+    xs = np.zeros(shape + inputs[0].shape[1:])
     ys = np.zeros(shape, dtype=np.int64)
-    for row, j in enumerate(stepping):
+    for j in range(stepping):
         used = rngs[j].permutation(inputs[j].shape[0])[: steps[j] * batch_size]
-        xs[row, : steps[j]] = inputs[j][used].reshape(steps[j], batch_size, -1)
-        ys[row, : steps[j]] = labels[j][used].reshape(steps[j], batch_size)
-    stacked = stack_params([params[j] for j in order])
+        xs[j, : steps[j]] = inputs[j][used].reshape(steps[j], batch_size, -1)
+        ys[j, : steps[j]] = labels[j][used].reshape(steps[j], batch_size)
+    stacked = stack_params(params)
     flat = stacked.flat
-    grad = np.empty((len(stepping), flat.shape[1]))  # one gradient buffer for the epoch
+    grad = np.empty((stepping, flat.shape[1]))  # one gradient buffer for the epoch
     active = 0
-    for s in range(shape[1]):
-        if active == 0 or steps[stepping[active - 1]] <= s:
+    for s in range(steps[0]):
+        if active == 0 or steps[active - 1] <= s:
             # The prefix still stepping shrank (or this is the first step):
             # bind it, and its slice of the gradient buffer, once.
-            active = sum(steps[j] > s for j in stepping)
+            active = sum(n > s for n in steps)
             theta, g = flat[:active], grad[:active]
-            prefix = ModelParams(theta, stacked.offsets, stacked.extractor_end)
-            g_prefix = ModelParams(g, stacked.offsets, stacked.extractor_end)
+            prefix, g_prefix = ModelParams(theta), ModelParams(g)
         batch = _layout_batch(xs[:active, s], ys[:active, s])
         grad_params(spec, prefix, batch, cfg, out=g_prefix)
         g *= eta_c
         theta -= g
-    for row, j in enumerate(stepping):
+    for j in range(stepping):
         # A copy, so a client that sits out later rounds does not keep the
         # whole group's stack alive.
-        out[j] = ModelParams(flat[row].copy(), stacked.offsets, stacked.extractor_end)
-    if order != sorted(order):
-        stacked = ModelParams(flat[np.argsort(order)], stacked.offsets, stacked.extractor_end)
+        out[j] = ModelParams(flat[j].copy())
     return out, stacked
 
 

@@ -178,7 +178,7 @@ def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path):
     path, blob = _checkpoint_bytes(tmp_path, cfg)
     result = run_training(cfg)
     broken = dataclasses.replace(result.clients[-1])
-    broken.params = nn.ModelParams(_FailingFlat(), (), 0)
+    broken.params = nn.ModelParams(_FailingFlat())
     # the header and all but the last client are written before the failure
     with pytest.raises(OSError, match="no space left"):
         save_checkpoint(str(path), cfg, result.server, [*result.clients[:-1], broken])
@@ -224,10 +224,9 @@ def _train_checking_evaluation(cfg, clients, server):
     """Run rounds to the horizon as run_training does; after every round the
     reported evaluation must equal, bit for bit, an evaluation from scratch of
     the clients as they stood at the last evaluated round."""
-    eval_cache = fresh = None
+    m = fresh = None
     while server.t < cfg.rounds:
-        server, m = run_round(server, clients, cfg, eval_cache)
-        eval_cache = (m.accuracy, m.per_client_accuracy, m.mean_ce)
+        server, m = run_round(server, clients, cfg, m)
         if fresh is None or m.round_index % cfg.eval_every == 0 or m.round_index == cfg.rounds:
             fresh = metrics.evaluate([(c.spec, c.params, c.data) for c in clients])
         assert m.accuracy == fresh[0], m.round_index

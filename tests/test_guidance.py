@@ -204,9 +204,8 @@ def test_stage_two_jvps_invariant_to_head_perturbation():
     spec, params, batch, quiz, gset, rng = make_instance(9, "feature")
     direction = rng.standard_normal(params.flat.shape[0])
     perturbed = params.copy()
-    perturbed.flat[params.extractor_end :] += rng.standard_normal(
-        params.flat.shape[0] - params.extractor_end
-    )
+    _, extractor_end = nn._layout(spec)
+    perturbed.flat[extractor_end:] += rng.standard_normal(params.flat.shape[0] - extractor_end)
     jv = nn.jvp_guided_batch(spec, params, batch.inputs, direction, "feature")
     jv_pert = nn.jvp_guided_batch(spec, perturbed, batch.inputs, direction, "feature")
     assert np.array_equal(jv, jv_pert)

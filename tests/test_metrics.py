@@ -1,24 +1,27 @@
-"""Metrics tests: evaluation, loss-increase, byte accounting, convergence
-detection, and separability diagnostics."""
+"""Metrics tests: evaluation, the engine's loss-increase column, byte
+accounting, convergence detection, and separability diagnostics."""
 
 import numpy as np
 import pytest
 
-from fedguide import nn
+from fedguide import federation, nn
 from fedguide.baselines import PrototypeSet
+from fedguide.cli import format_metrics_csv, read_metrics_csv
 from fedguide.data import ClientDataset, Dataset
 from fedguide.errors import ContractViolation
+from fedguide.federation import run_training
 from fedguide.guidance import GuidingVectorSet
 from fedguide.metrics import (
     account_bytes,
     convergence_round,
     evaluate,
-    loss_increase,
     mean_row_norm,
     separability_stats,
 )
 from fedguide.nn import MiniBatch, ModelSpec
 from fedguide.rng import stream
+
+from helpers import small_config
 
 
 def perfect_client(n_test=10, label=0):
@@ -71,22 +74,53 @@ def test_evaluate_untrained_accuracy_near_chance():
     assert abs(agg - p) <= 3 * sigma
 
 
-def test_loss_increase_monotone_history_is_zero():
-    assert loss_increase([3.0, 2.5, 2.0, 1.0]).tolist() == [0, 0, 0, 0]
+def engine_loss_increase(monkeypatch, ce_history):
+    """The engine's loss_increase column over a run whose evaluations report
+    ``ce_history`` as the mean study ce, one entry per round."""
+    scripted = iter(ce_history)
+    monkeypatch.setattr(
+        federation,
+        "evaluate",
+        lambda clients, scores, study_ce: (0.5, np.zeros(len(clients)), next(scripted)),
+    )
+    cfg = small_config("local-only", rounds=len(ce_history), warmup=0)
+    return [m.loss_increase for m in run_training(cfg).history]
 
 
-def test_loss_increase_by_hand():
-    assert loss_increase([1.0, 0.8, 0.9]).tolist() == [0.0, 0.0, pytest.approx(0.1)]
-    assert loss_increase([1.0, 1.2]).tolist() == [0.0, pytest.approx(0.2)]
+def running_min_rise(ce):
+    """Reference: entry t is max(0, ce[t] - min(ce[:t])); the first is 0."""
+    return [0.0] + [max(0.0, ce[t] - min(ce[:t])) for t in range(1, len(ce))]
 
 
-def test_loss_increase_zero_iff_nonincreasing():
+def test_loss_increase_monotone_history_is_zero(monkeypatch):
+    assert engine_loss_increase(monkeypatch, [3.0, 2.5, 2.0, 1.0]) == [0, 0, 0, 0]
+
+
+def test_loss_increase_by_hand(monkeypatch):
+    assert engine_loss_increase(monkeypatch, [1.0, 0.8, 0.9]) == [0.0, 0.0, pytest.approx(0.1)]
+    assert engine_loss_increase(monkeypatch, [1.0, 1.2]) == [0.0, pytest.approx(0.2)]
+
+
+def test_loss_increase_zero_iff_nonincreasing(monkeypatch):
     rng = np.random.default_rng(1)
     for _ in range(20):
         h = rng.uniform(0.5, 2.0, 12)
-        inc = loss_increase(h)
+        inc = engine_loss_increase(monkeypatch, h.tolist())
         nonincreasing = all(h[t] <= h[: t + 1].min() + 1e-15 for t in range(1, len(h)))
-        assert (inc.max() == 0.0) == nonincreasing
+        assert (max(inc) == 0.0) == nonincreasing
+
+
+@pytest.mark.parametrize("overrides", [{}, dict(rho=0.5, eval_every=3), dict(eta_c=0.5)])
+@pytest.mark.parametrize("method", ["fedl2g-f", "fedproto"])
+def test_loss_increase_column_is_the_rise_above_the_running_minimum(tmp_path, method, overrides):
+    path = tmp_path / "metrics.csv"
+    path.write_text(format_metrics_csv(run_training(small_config(method, **overrides)).history))
+    cols = read_metrics_csv(str(path))
+    assert cols["loss_increase"].tolist() == running_min_rise(cols["mean_ce"].tolist())
+    if "eta_c" in overrides:
+        # The study ce falls monotonically in the other runs; this step size
+        # makes it rise, so the column is compared on nonzero entries too.
+        assert cols["loss_increase"].max() > 0
 
 
 def test_account_bytes_by_hand():

@@ -171,8 +171,9 @@ def test_feature_space_mse_gradient_confined_to_extractor():
     V = 0.4 * rng.standard_normal((spec.class_count, spec.feature_dim))
     cfg = LossConfig(use_ce=False, guide_vectors=V, guide_space="feature")
     g = nn.grad_params(spec, params, batch, cfg)
-    assert np.array_equal(g[params.extractor_end :], np.zeros(len(g) - params.extractor_end))
-    assert np.abs(g[: params.extractor_end]).max() > 0
+    _, extractor_end = nn._layout(spec)
+    assert np.array_equal(g[extractor_end:], np.zeros(len(g) - extractor_end))
+    assert np.abs(g[:extractor_end]).max() > 0
 
 
 def test_jvp_zero_direction():
@@ -230,7 +231,7 @@ def test_jvp_feature_space_ignores_head_coordinates(seed):
     spec, params, batch, rng = random_instance(seed + 90)
     direction = rng.standard_normal(params.flat.shape[0])
     zeroed = direction.copy()
-    zeroed[params.extractor_end :] = 0.0
+    zeroed[nn._layout(spec)[1] :] = 0.0
     jv_full = nn.jvp_guided_batch(spec, params, batch.inputs, direction, "feature")
     jv_zeroed = nn.jvp_guided_batch(spec, params, batch.inputs, zeroed, "feature")
     assert np.array_equal(jv_full, jv_zeroed)
@@ -263,18 +264,36 @@ def test_sgd_step_by_hand_and_purity():
 
 
 def test_relu_subgradient_at_zero_is_zero():
-    assert nn._act_deriv("relu", np.array([0.0]))[0] == 0.0
+    # Hidden unit 0 has zero weights and bias, so its pre-activation is
+    # exactly 0 on every sample; with a subgradient of 1 there, both kernels
+    # would pass signal through it.
+    spec = ModelSpec(3, (4,), 5, 2, "relu")
+    params = nn.init_params(spec, stream(4, 3, 0))
+    w0, b0 = nn._affines(spec, params.flat)[0]
+    w0[0], b0[0] = 0.0, 0.0
+    x = stream(4, 0).standard_normal((6, 3))
+    g = nn.grad_params(spec, params, MiniBatch(x, np.arange(6) % 2), LossConfig())
+    gw0, gb0 = nn._affines(spec, g)[0]
+    assert not gw0[0].any() and gb0[0] == 0.0
+    assert gw0[1:].any()
+    direction = np.zeros_like(params.flat)
+    dw0, db0 = nn._affines(spec, direction)[0]
+    dw0[0], db0[0] = 1.0, 1.0  # moves only unit 0's pre-activation
+    for space in ("logit", "feature"):
+        jv = nn.jvp_guided_batch(spec, params, x, direction, space)
+        assert not jv.any(), space
 
 
 def test_param_layout_partitions_vector():
     spec = ModelSpec(5, (7, 3), 4, 6, "tanh")
     params = nn.init_params(spec, stream(11, 3, 0))
-    assert params.offsets[0] == 0
-    assert params.offsets[-1] == params.flat.shape[0]
-    assert 0 < params.extractor_end < params.flat.shape[0]
+    offsets, extractor_end = nn._layout(spec)
+    assert offsets[0] == 0
+    assert offsets[-1] == params.flat.shape[0]
+    assert 0 < extractor_end < params.flat.shape[0]
     # head block is exactly everything after the extractor
     head_size = spec.class_count * spec.feature_dim + spec.class_count
-    assert params.flat.shape[0] - params.extractor_end == head_size
+    assert params.flat.shape[0] - extractor_end == head_size
 
 
 def test_family_spec_assignment_rule():
@@ -351,14 +370,14 @@ def test_lockstep_epoch_equals_each_client_alone(mode):
     spec = nn.family_spec(3, 8, 6, 4)
     rng = stream(5, 12)
     cfg = _guide_config(mode, spec, rng)
-    sizes = [5, 35, 13, 70]  # 0, 3, 1 and 7 steps of 10, deliberately unsorted
+    sizes = [70, 35, 13, 5]  # 7, 3, 1 and 0 steps of 10: most steps first
     params = [nn.init_params(spec, stream(5, 3, j)) for j in range(len(sizes))]
     inputs = [rng.standard_normal((n, 8)) for n in sizes]
     labels = [rng.integers(0, 4, n) for n in sizes]
     rngs = [stream(5, 6, j) for j in range(len(sizes))]
 
     out, stacked = nn.run_sgd_epoch(spec, params, inputs, labels, cfg, 0.05, 10, rngs)
-    assert out[0] is params[0]  # no step: the very same object comes back
+    assert out[-1] is params[-1]  # no step: the very same object comes back
     assert stacked.flat.shape == (len(sizes), nn.param_count(spec))
     for j in range(len(sizes)):
         expected = _epoch_one_client_at_a_time(
@@ -370,7 +389,19 @@ def test_lockstep_epoch_equals_each_client_alone(mode):
             spec, [params[j]], [inputs[j]], [labels[j]], cfg, 0.05, 10, [stream(5, 6, j)]
         )
         assert alone[0].flat.tobytes() == out[j].flat.tobytes(), j
-    assert all(not np.array_equal(o.flat, p.flat) for o, p in zip(out[1:], params[1:]))
+    assert all(not np.array_equal(o.flat, p.flat) for o, p in zip(out[:-1], params[:-1]))
+
+
+def test_epoch_rejects_clients_out_of_step_order():
+    spec = nn.family_spec(3, 8, 6, 4)
+    rng = stream(5, 12)
+    sizes = [35, 70, 13]  # 3 steps, then 7: out of order
+    params = [nn.init_params(spec, stream(5, 3, j)) for j in range(len(sizes))]
+    inputs = [rng.standard_normal((n, 8)) for n in sizes]
+    labels = [rng.integers(0, 4, n) for n in sizes]
+    rngs = [stream(5, 6, j) for j in range(len(sizes))]
+    with pytest.raises(ContractViolation, match="client 1 takes 7 steps after client 0's 3"):
+        nn.run_sgd_epoch(spec, params, inputs, labels, LossConfig(), 0.05, 10, rngs)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
@@ -385,7 +416,7 @@ def test_grad_params_into_out_buffer_is_the_allocating_call(variant, mode, k):
     for p, b in [(params[0], batches[0]), (nn.stack_params(params), nn.stack_batches(batches))]:
         expected = nn.grad_params(spec, p, b, cfg)
         # stale contents must not leak through
-        buf = ModelParams(np.full_like(p.flat, np.nan), p.offsets, p.extractor_end)
+        buf = ModelParams(np.full_like(p.flat, np.nan))
         got = nn.grad_params(spec, p, b, cfg, out=buf)
         assert got is buf.flat
         assert got.tobytes() == expected.tobytes()
@@ -397,25 +428,22 @@ def test_grad_params_into_out_buffer_is_the_allocating_call(variant, mode, k):
 
 def test_grad_params_rejects_a_misshapen_out_buffer():
     spec, params, batch, _ = random_instance(4)
-    def buffer(flat):
-        return ModelParams(flat, params.offsets, params.extractor_end)
-
     with pytest.raises(ContractViolation, match="out is"):
-        nn.grad_params(spec, params, batch, LossConfig(), out=buffer(np.zeros(3)))
+        nn.grad_params(spec, params, batch, LossConfig(), out=ModelParams(np.zeros(3)))
     with pytest.raises(ContractViolation, match="out is"):
         nn.grad_params(
             spec,
             params,
             batch,
             LossConfig(),
-            out=buffer(np.zeros_like(params.flat, dtype=np.float32)),
+            out=ModelParams(np.zeros_like(params.flat, dtype=np.float32)),
         )
 
 
 def test_epoch_results_share_no_memory(monkeypatch):
     spec = nn.family_spec(1, 8, 6, 4)
     rng = stream(6, 12)
-    sizes = [35, 70, 12, 50]
+    sizes = [70, 50, 35, 12]  # most steps first
     params = [nn.init_params(spec, stream(6, 3, j)) for j in range(len(sizes))]
     inputs = [rng.standard_normal((n, 8)) for n in sizes]
     labels = [rng.integers(0, 4, n) for n in sizes]
@@ -485,3 +513,55 @@ def test_cached_views_follow_in_place_updates():
     assert params.blocks(nn.family_spec(2, 8, 6, 4)) is blocks
     copy = params.copy()
     assert not np.shares_memory(copy.blocks(spec)[0][0], params.flat)
+
+
+def _jvp_reference(spec, params, inputs, direction, space):
+    """Reference JVP: values and tangents side by side from an all-zero input
+    tangent, each activation and its derivative computed from the
+    pre-activation, with no in-place operation."""
+    relu = spec.activation == "relu"
+    blocks = nn._affines(spec, params.flat)
+    d_blocks = nn._affines(spec, direction)
+    z = inputs
+    dz = np.zeros_like(inputs)
+    for (w, b), (dw, db) in zip(blocks[: spec.depth], d_blocks[: spec.depth]):
+        wt, dwt = w.swapaxes(-1, -2), dw.swapaxes(-1, -2)
+        a = z @ wt + b[..., None, :]
+        da = dz @ wt + z @ dwt + db[..., None, :]
+        if relu:
+            dz = (a > 0.0) * da
+            z = np.maximum(a, 0.0)
+        else:
+            t = np.tanh(a)
+            dz = (1.0 - t * t) * da
+            z = np.tanh(a)
+    (w_f, b_f), (dw_f, db_f) = blocks[spec.depth], d_blocks[spec.depth]
+    features = z @ w_f.swapaxes(-1, -2) + b_f[..., None, :]
+    d_features = dz @ w_f.swapaxes(-1, -2) + z @ dw_f.swapaxes(-1, -2) + db_f[..., None, :]
+    if space == "feature":
+        return d_features
+    (w_h, _), (dw_h, db_h) = blocks[spec.depth + 1], d_blocks[spec.depth + 1]
+    return d_features @ w_h.swapaxes(-1, -2) + features @ dw_h.swapaxes(-1, -2) + db_h[..., None, :]
+
+
+@pytest.mark.parametrize("direction", ["random", "gradient"])
+@pytest.mark.parametrize("k", [None, 3])
+@pytest.mark.parametrize("space", ["logit", "feature"])
+@pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+@pytest.mark.parametrize("variant", range(len(nn.DEFAULT_HIDDEN_FAMILY)))
+def test_jvp_equals_the_reference_bitwise(variant, activation, space, k, direction):
+    spec = nn.family_spec(variant, 32, 32, 10, activation)
+    rng = stream(variant, 14, k or 1)
+    count = k or 1
+    clients = [nn.init_params(spec, stream(variant, 3, j)) for j in range(count)]
+    inputs = rng.standard_normal((count, 10, 32))
+    params = nn.stack_params(clients)
+    if direction == "random":
+        directions = rng.standard_normal(params.flat.shape)
+    else:  # the engine's direction: a quiz gradient, with exact zeros where relu units are dead
+        quiz = MiniBatch(rng.standard_normal((count, 5, 32)), rng.integers(0, 10, (count, 5)))
+        directions = nn.grad_params(spec, params, quiz, LossConfig())
+    if k is None:
+        params, inputs, directions = clients[0], inputs[0], directions[0]
+    got = nn.jvp_guided_batch(spec, params, inputs, directions, space)
+    assert got.tobytes() == _jvp_reference(spec, params, inputs, directions, space).tobytes()

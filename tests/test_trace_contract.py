@@ -36,6 +36,17 @@ RUN_PY_METRICS = {
     "trace.overhead_ratio",
 }
 
+# Kernel calls of small_config(rounds=4) per method. The kernels share a
+# private forward pass that must not call through a traced name: a count
+# that moves shows that it does, or that the engine's kernel calls changed.
+KERNEL_CALLS = {
+    "fedl2g-l": {"grad_params": 78, "forward_batch": 36, "jvp_guided_batch": 20},
+    "fedl2g-f": {"grad_params": 78, "forward_batch": 36, "jvp_guided_batch": 20},
+    "fedproto": {"grad_params": 96, "forward_batch": 48, "jvp_guided_batch": 0},
+    "feddistill": {"grad_params": 96, "forward_batch": 48, "jvp_guided_batch": 0},
+    "local-only": {"grad_params": 96, "forward_batch": 48, "jvp_guided_batch": 0},
+}
+
 
 @pytest.mark.parametrize("method", METHODS)
 def test_traced_run_calls_every_traced_layer(method):
@@ -62,6 +73,8 @@ def test_traced_run_calls_every_traced_layer(method):
     for name in called:
         assert name in tracer.wrapped, name
         assert metrics[f"{name}.calls"] > 0, name
+    calls = {k: metrics[f"nn.{k}.calls"] for k in KERNEL_CALLS[method]}
+    assert calls == KERNEL_CALLS[method]
     # Both passes see the same gradient calls, and every epoch's SGD steps
     # reach the traced name inside its span: a bypassed kernel fails here
     # instead of ending the benchmark's traced run without its result.
