@@ -4,8 +4,10 @@ Clients hold architecturally different models and non-IID data, so parameter
 averaging is impossible. Collaboration happens instead through compact
 per-class vectors: either data-derived prototypes (fedproto, feddistill) or
 trainable guiding vectors updated on the server from client quiz-set
-feedback (fedl2g-l, fedl2g-f). Everything is float64, seeded, and pure, so
-runs are bit-reproducible regardless of worker count.
+feedback (fedl2g-l, fedl2g-f). Everything is float64, seeded, and pure, and
+every random draw comes from a stream keyed by (seed, purpose, client, round),
+so runs are bit-reproducible, do not depend on the order in which clients are
+stepped, and resume exactly from a checkpoint.
 """
 
 __version__ = "0.1.0"

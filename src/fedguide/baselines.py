@@ -15,10 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ContractViolation
-from .nn import LossConfig
-
-SPACES = ("logit", "feature")
-
+from .nn import SPACES, LossConfig
 
 @dataclass
 class PrototypeSet:

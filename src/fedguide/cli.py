@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .federation import (
     task_digest,
 )
 from .metrics import RoundMetrics, convergence_round
+from .nn import ACTIVATIONS
 
 ENV_PREFIX = "FEDGUIDE_"
 
@@ -34,33 +36,8 @@ METRIC_HEADER = "round,accuracy,mean_ce,loss_increase,upload_bytes,download_byte
 
 SUMMARY_SCHEMA = "fedguide-summary-v1"
 
-# Config-file keys, their parsers, and the RunConfig/TaskConfig field they feed.
-_OPTION_SPECS: dict[str, type | str] = {
-    "method": str,
-    "clients": int,
-    "rho": float,
-    "rounds": int,
-    "warmup": int,
-    "eta_c": float,
-    "eta_s": float,
-    "eta_s_scale": float,
-    "batch_size": int,
-    "quiz_size": int,
-    "feature_dim": int,
-    "activation": str,
-    "workers": int,
-    "eval_every": int,
-    "partition": str,  # "dirichlet:BETA" or "pathological:CPC"
-    "noise": str,  # "s:p"
-    "seed": str,  # "S" or "S,S,..."
-    "out": str,
-    "data": str,  # delimited file path; omit for synthetic
-    "class_count": int,
-    "input_dim": int,
-    "samples_per_class": int,
-    "cluster_spread": float,
-    "test_fraction": float,
-}
+# Written into --out when a run fails; the next run into it removes it.
+_FAILED_MARKER = "FAILED.txt"
 
 
 @dataclass(frozen=True)
@@ -75,21 +52,8 @@ class ExperimentConfig:
         return dataclasses.replace(self.run, seed=seed)
 
 
-def _parse_typed(key: str, value, kind) -> object:
-    try:
-        if kind is int:
-            out = int(value)
-        elif kind is float:
-            out = float(value)
-        else:
-            out = str(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: cannot parse {value!r}") from None
-    return out
-
-
-def _parse_partition(value: str) -> tuple[str, float | int]:
-    scheme, _, param = value.partition(":")
+def _parse_partition(value) -> tuple[str, float | int]:
+    scheme, _, param = str(value).partition(":")
     if scheme == "dirichlet":
         try:
             return "dirichlet", float(param) if param else 0.1
@@ -103,132 +67,132 @@ def _parse_partition(value: str) -> tuple[str, float | int]:
     raise ConfigError(f"partition: unknown scheme {scheme!r}")
 
 
-def _parse_noise(value: str) -> tuple[float, float]:
-    s, _, p = value.partition(":")
+def _parse_noise(value) -> tuple[float, float]:
+    s, _, p = str(value).partition(":")
     try:
         return float(s), float(p)
     except ValueError:
         raise ConfigError(f"noise: expected s:p, got {value!r}") from None
 
 
-def _parse_seeds(value: str) -> tuple[int, ...]:
+def _parse_seeds(value) -> tuple[int, ...]:
     try:
-        seeds = tuple(int(part) for part in str(value).split(","))
+        return tuple(int(part) for part in str(value).split(","))
     except ValueError:
         raise ConfigError(f"seed: expected S[,S...], got {value!r}") from None
-    if not seeds:
-        raise ConfigError("seed: at least one seed required")
-    return seeds
+
+
+class _Option(NamedTuple):
+    parse: Callable[[object], object]
+    field: str | None  # the RunConfig or TaskConfig field it sets
+    help: str
+
+
+# Every run option, declared once. Key "eta_s" is the flag --eta-s, the
+# environment variable FEDGUIDE_ETA_S and the config-file key "eta_s".
+# Options without a field are unpacked by parse_config itself.
+_OPTIONS: dict[str, _Option] = {
+    "method": _Option(str, "method", f"one of {', '.join(METHODS)}"),
+    "clients": _Option(int, "n_clients", "number of clients N"),
+    "rho": _Option(float, "rho", "share of clients sampled each round, in (0, 1]"),
+    "rounds": _Option(int, "rounds", "communication rounds"),
+    "warmup": _Option(int, "warmup", "rounds of guiding-vector training before local training"),
+    "eta_c": _Option(float, "eta_c", "client learning rate"),
+    "eta_s": _Option(float, "eta_s", "server learning rate; default from the space"),
+    "eta_s_scale": _Option(float, "eta_s_scale", "factor on the space's default server rate"),
+    "batch_size": _Option(int, "batch_size", "study mini-batch size"),
+    "quiz_size": _Option(int, "quiz_size", "quiz samples held out per client"),
+    "feature_dim": _Option(int, "feature_dim", "feature dimension K of every model"),
+    "activation": _Option(str, "activation", f"one of {', '.join(ACTIVATIONS)}"),
+    "workers": _Option(int, "workers", "no effect: every round runs on one thread"),
+    "eval_every": _Option(int, "eval_every", "evaluate every this many rounds, and at the last"),
+    "partition": _Option(_parse_partition, None, "dirichlet:BETA or pathological:CPC"),
+    "noise": _Option(_parse_noise, None, "s:p Gaussian perturbation of uploads"),
+    "seed": _Option(_parse_seeds, None, "seed or comma-separated seed list"),
+    "out": _Option(str, None, "output directory"),
+    "data": _Option(str, "source", "delimited dataset file; default synthetic"),
+    "class_count": _Option(int, "class_count", "number of classes C"),
+    "input_dim": _Option(int, "input_dim", "input dimension d"),
+    "samples_per_class": _Option(int, "samples_per_class", "synthetic samples per class"),
+    "cluster_spread": _Option(float, "cluster_spread", "std of each synthetic class cluster"),
+    "test_fraction": _Option(float, "test_fraction", "share of client samples kept for test"),
+}
+
+_TASK_FIELDS = {f.name for f in dataclasses.fields(TaskConfig)}
+
+
+def _load_json_object(path: str, what: str) -> dict:
+    """A JSON file whose top level is an object; any failure is a ConfigError
+    naming ``path``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{what}: cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"{what}: {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what}: {path}: top level must be a JSON object")
+    return doc
 
 
 def _run_arg_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="fedguide run", add_help=True)
+    p = argparse.ArgumentParser(
+        prog="fedguide run",
+        epilog="Each option KEY can also come from the environment variable FEDGUIDE_<KEY> "
+        "or the config-file key KEY (e.g. --eta-s, FEDGUIDE_ETA_S, eta_s). Precedence: "
+        "default < config file < environment < flag.",
+    )
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--clients", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--warmup", type=int)
-    p.add_argument("--eta-c", dest="eta_c", type=float)
-    p.add_argument("--eta-s", dest="eta_s", type=float)
-    p.add_argument("--eta-s-scale", dest="eta_s_scale", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--quiz-size", dest="quiz_size", type=int)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int)
-    p.add_argument("--activation", choices=("relu", "tanh"))
-    p.add_argument("--workers", type=int)
-    p.add_argument("--eval-every", dest="eval_every", type=int)
-    p.add_argument("--partition", help="dirichlet:BETA or pathological:CPC")
-    p.add_argument("--noise", help="s:p Gaussian perturbation of uploads")
-    p.add_argument("--seed", help="seed or comma-separated seed list")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--data", help="delimited dataset file; default synthetic")
-    p.add_argument("--class-count", dest="class_count", type=int)
-    p.add_argument("--input-dim", dest="input_dim", type=int)
-    p.add_argument("--samples-per-class", dest="samples_per_class", type=int)
-    p.add_argument("--cluster-spread", dest="cluster_spread", type=float)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
+    for key, option in _OPTIONS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, help=option.help)
     return p
 
 
 def _collect_options(args: argparse.Namespace) -> dict:
-    """Merge config file, environment, and flags by increasing precedence."""
+    """Merge config file, environment, and flags by increasing precedence,
+    then parse the values that won."""
     merged: dict = {}
     if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: {args.config} is not valid JSON: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("config: top level must be a JSON object")
-        for key, value in file_cfg.items():
-            if key not in _OPTION_SPECS:
+        file_cfg = _load_json_object(args.config, "config")
+        for key in file_cfg:
+            if key not in _OPTIONS:
                 raise ConfigError(f"config: unknown key {key!r}")
-            merged[key] = _parse_typed(key, value, _OPTION_SPECS[key])
-    for key, kind in _OPTION_SPECS.items():
+        merged.update(file_cfg)
+    for key in _OPTIONS:
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
-            merged[key] = _parse_typed(key, env, kind)
-    for key in _OPTION_SPECS:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
+            merged[key] = env
+        flag = getattr(args, key)
+        if flag is not None:
+            merged[key] = flag
+    parsed = {}
+    for key, value in merged.items():
+        try:
+            parsed[key] = _OPTIONS[key].parse(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{key}: cannot parse {value!r}") from None
+    return parsed
 
 
 def parse_config(argv: list[str]) -> ExperimentConfig:
     """Parse run-command arguments into a fully validated ExperimentConfig."""
-    args = _run_arg_parser().parse_args(argv)
-    opts = _collect_options(args)
-
-    task_kwargs = {}
-    if "data" in opts:
-        task_kwargs["source"] = opts["data"]
-    for key in ("class_count", "input_dim", "samples_per_class", "cluster_spread", "test_fraction"):
-        if key in opts:
-            task_kwargs[key] = opts[key]
+    opts = _collect_options(_run_arg_parser().parse_args(argv))
+    task_kwargs: dict = {}
+    run_kwargs: dict = {}
+    for key, value in opts.items():
+        field = _OPTIONS[key].field
+        if field is not None:
+            (task_kwargs if field in _TASK_FIELDS else run_kwargs)[field] = value
     if "partition" in opts:
-        scheme, param = _parse_partition(opts["partition"])
+        scheme, param = opts["partition"]
         task_kwargs["partition"] = scheme
-        if scheme == "dirichlet":
-            task_kwargs["beta"] = param
-        else:
-            task_kwargs["classes_per_client"] = param
-    task = TaskConfig(**task_kwargs)
-
-    run_kwargs: dict = {"task": task}
-    rename = {"clients": "n_clients"}
-    for key in (
-        "method",
-        "clients",
-        "rho",
-        "rounds",
-        "warmup",
-        "eta_c",
-        "eta_s",
-        "eta_s_scale",
-        "batch_size",
-        "quiz_size",
-        "feature_dim",
-        "activation",
-        "workers",
-        "eval_every",
-    ):
-        if key in opts:
-            run_kwargs[rename.get(key, key)] = opts[key]
+        task_kwargs["beta" if scheme == "dirichlet" else "classes_per_client"] = param
     if "noise" in opts:
-        s, p = _parse_noise(opts["noise"])
-        run_kwargs["noise_s"] = s
-        run_kwargs["noise_p"] = p
-    run = RunConfig(**run_kwargs)
+        run_kwargs["noise_s"], run_kwargs["noise_p"] = opts["noise"]
+    run = RunConfig(task=TaskConfig(**task_kwargs), **run_kwargs)
     run.validate()
-
-    seeds = _parse_seeds(opts["seed"]) if "seed" in opts else (1,)
-    out_dir = opts.get("out", "runs")
-    return ExperimentConfig(run, seeds, out_dir)
+    return ExperimentConfig(run, opts.get("seed", (1,)), opts.get("out", "runs"))
 
 
 def format_metrics_csv(history: list[RoundMetrics]) -> str:
@@ -293,6 +257,9 @@ def build_summary(config: RunConfig, seeds, histories) -> dict:
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run every seed, write metric files and the summary; returns the summary."""
     os.makedirs(config.out_dir, exist_ok=True)
+    marker = os.path.join(config.out_dir, _FAILED_MARKER)
+    if os.path.exists(marker):
+        os.remove(marker)
     histories = []
     metric_files = []
     for i, seed in enumerate(config.seeds):
@@ -310,6 +277,17 @@ def run_experiment(config: ExperimentConfig) -> dict:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary
+
+
+# The summary keys compare_runs reads.
+_COMPARED_KEYS = (
+    "method",
+    "final_accuracy_mean",
+    "final_accuracy_std",
+    "convergence_rounds",
+    "upload_bytes_total",
+    "download_bytes_total",
+)
 
 
 def compare_runs(summaries: list[dict]) -> list[dict]:
@@ -357,7 +335,7 @@ def _cmd_run(argv: list[str]) -> int:
     try:
         summary = run_experiment(config)
     except FedGuideError as exc:
-        marker = os.path.join(config.out_dir, "FAILED.txt")
+        marker = os.path.join(config.out_dir, _FAILED_MARKER)
         os.makedirs(config.out_dir, exist_ok=True)
         with open(marker, "w", encoding="utf-8") as fh:
             fh.write(f"run failed, outputs may be partial: {exc}\n")
@@ -378,8 +356,11 @@ def _cmd_compare(argv: list[str]) -> int:
     args = p.parse_args(argv)
     loaded = []
     for path in args.summaries:
-        with open(path, encoding="utf-8") as fh:
-            loaded.append(json.load(fh))
+        summary = _load_json_object(path, "compare")
+        missing = [key for key in _COMPARED_KEYS if key not in summary]
+        if missing:
+            raise ConfigError(f"compare: {path}: summary lacks {', '.join(missing)}")
+        loaded.append(summary)
     rows = compare_runs(loaded)
     text = format_comparison(rows)
     print(text, end="")

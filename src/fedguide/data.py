@@ -88,17 +88,9 @@ def generate_synthetic(
     return Dataset(inputs, labels, class_count)
 
 
-@dataclass(frozen=True)
-class DelimitedSchema:
-    """Row layout of a delimited text dataset: d floats then one integer label."""
-
-    input_dim: int
-    class_count: int
-    delimiter: str = ","
-
-
-def load_delimited(path: str, schema: DelimitedSchema) -> Dataset:
-    """Load a headerless delimited file; row order preserved."""
+def load_delimited(path: str, input_dim: int, class_count: int) -> Dataset:
+    """Load a headerless comma-delimited file, each row ``input_dim`` floats
+    then one integer label; row order preserved."""
     rows: list[list[float]] = []
     labels: list[int] = []
     with open(path, encoding="utf-8") as fh:
@@ -106,24 +98,24 @@ def load_delimited(path: str, schema: DelimitedSchema) -> Dataset:
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(schema.delimiter)
-            if len(parts) != schema.input_dim + 1:
+            parts = line.split(",")
+            if len(parts) != input_dim + 1:
                 raise DataFormatError(
-                    f"{path}: line {lineno}: expected {schema.input_dim + 1} fields, got {len(parts)}"
+                    f"{path}: line {lineno}: expected {input_dim + 1} fields, got {len(parts)}"
                 )
             try:
                 rows.append([float(v) for v in parts[:-1]])
                 label = int(parts[-1])
             except ValueError as exc:
                 raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
-            if not 0 <= label < schema.class_count:
+            if not 0 <= label < class_count:
                 raise DataFormatError(
-                    f"{path}: line {lineno}: label {label} outside [0, {schema.class_count})"
+                    f"{path}: line {lineno}: label {label} outside [0, {class_count})"
                 )
             labels.append(label)
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    return Dataset(np.array(rows), np.array(labels), schema.class_count)
+    return Dataset(np.array(rows), np.array(labels), class_count)
 
 
 def _largest_remainder(shares: np.ndarray, total: int) -> np.ndarray:

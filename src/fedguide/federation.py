@@ -2,9 +2,10 @@
 aggregation, server update, and checkpointing.
 
 Each client's randomness comes from a private stream keyed by
-(seed, purpose, client, round), so rounds can run on any number of worker
-threads and still produce bit-identical results; the server reduces uploads
-in ascending client order at the end of the round.
+(seed, purpose, client, round), so results do not depend on the order in
+which a round's groups run, and a run resumed from a checkpoint repeats the
+remaining rounds bit for bit; the server reduces uploads in ascending client
+order at the end of the round.
 
 Participants sharing an architecture and a study-batch size step together:
 each kernel call of a round covers the whole group as one stack, and every
@@ -18,7 +19,6 @@ import json
 import os
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
@@ -35,7 +35,6 @@ from .baselines import (
 from .data import (
     ClientDataset,
     Dataset,
-    DelimitedSchema,
     generate_synthetic,
     load_delimited,
     partition_dirichlet,
@@ -54,6 +53,7 @@ from .guidance import (
 )
 from .metrics import ClientScore, RoundMetrics, account_bytes, evaluate, study_cross_entropy
 from .nn import (
+    ACTIVATIONS,
     LossConfig,
     MiniBatch,
     ModelParams,
@@ -135,7 +135,9 @@ class RunConfig:
     activation: str = "relu"
     noise_s: float = 0.0
     noise_p: float = 0.0
-    workers: int = 1  # execution detail; never affects results
+    # Has no effect: every round runs on one thread. Kept, validated and
+    # reported because existing command lines and scripts still pass it.
+    workers: int = 1
     eval_every: int = 1
     task: TaskConfig = field(default_factory=TaskConfig)
 
@@ -158,6 +160,8 @@ class RunConfig:
             raise ConfigError("batch_size and quiz_size must be >= 1")
         if self.noise_s < 0 or not 0 <= self.noise_p <= 1:
             raise ConfigError("noise: need s >= 0 and 0 <= p <= 1")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"activation: unknown activation {self.activation!r}")
         if self.workers < 1:
             raise ConfigError("workers: must be >= 1")
         if self.eval_every < 1:
@@ -244,8 +248,7 @@ def build_dataset(config: RunConfig) -> Dataset:
             task.cluster_spread,
             config.seed,
         )
-    schema = DelimitedSchema(task.input_dim, task.class_count)
-    return load_delimited(task.source, schema)
+    return load_delimited(task.source, task.input_dim, task.class_count)
 
 
 def build_clients(config: RunConfig) -> list[ClientState]:
@@ -429,28 +432,23 @@ def run_round(
         key = (c.spec, min(config.batch_size, len(c.data.study)), len(c.data.quiz.labels))
         groups.setdefault(key, []).append(c)
 
-    def work(members: list[ClientState]) -> list[_ClientResult]:
+    results: list[_ClientResult] = []
+    for members in groups.values():
         _check_stackable(members, round_index)
         try:
-            return _group_work(config, server.payload, members, round_index)
+            results += _group_work(config, server.payload, members, round_index)
         except Exception as exc:
             who = ", ".join(str(c.index) for c in members)
             label = "client" if len(members) == 1 else "clients"
             raise ContractViolation(f"{label} {who} failed in round {round_index}: {exc}") from exc
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            per_group = list(pool.map(work, groups.values()))
-    else:
-        per_group = [work(members) for members in groups.values()]
-    results = sorted((r for rs in per_group for r in rs), key=lambda r: r.index)
+    results.sort(key=lambda r: r.index)
 
     study_ce = [None] * len(clients)
     for r in results:
         clients[r.index].params = r.params
         study_ce[r.index] = r.study_ce
 
-    # Deterministic ordered reduction at the synchronization barrier.
+    # Deterministic reduction in ascending client order.
     payload = server.payload
     upload_rows = 0
     if config.method in GUIDED_METHODS:

@@ -26,6 +26,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ContractViolation
 from .nn import (
+    SPACES,
     LossConfig,
     MiniBatch,
     ModelParams,
@@ -35,8 +36,6 @@ from .nn import (
     run_sgd_epoch,
     sgd_step,
 )
-
-SPACES = ("logit", "feature")
 
 
 @dataclass

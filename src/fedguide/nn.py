@@ -16,9 +16,8 @@ returns its last two outputs, ``grad_params`` back-propagates through every
 layer's output, and ``jvp_guided_batch`` pushes tangents through it, taking
 each activation's derivative from the layer's output.
 
-All functions here are pure: they never mutate their inputs, write only
-into an ``out`` ModelParams the caller passes in, and are safe to call from
-many threads at once (on distinct ``out`` buffers). The block views of a
+All functions here are pure: they never mutate their inputs and write only
+into an ``out`` ModelParams the caller passes in. The block views of a
 ``ModelParams`` are built on its first use and cached on the object; it is
 frozen, so they always address its own ``flat``. A gradient buffer is a
 ``ModelParams`` too, so its block views are bound once and reused by every
@@ -44,6 +43,9 @@ import numpy as np
 from .errors import ContractViolation
 
 ACTIVATIONS = ("relu", "tanh")
+
+# The output a guide term targets: the logits or the extractor's features.
+SPACES = ("logit", "feature")
 
 # Hidden-width variants for the heterogeneous model family; client i gets
 # variant i mod 5, so width and depth differ across clients while the
@@ -251,7 +253,7 @@ class LossConfig:
     """Selects the per-sample training loss.
 
     The loss is ce(logits, y) when ``guide_vectors`` is None, otherwise
-    ce + guide_weight * mse(guided_output, guide_vectors[y]) where the guided
+    ce + mse(guided_output, guide_vectors[y]) where the guided
     output is the logits (space "logit") or the features (space "feature").
     Samples whose class row is marked invalid in ``guide_valid`` contribute
     only their ce term.
@@ -260,11 +262,10 @@ class LossConfig:
     use_ce: bool = True
     guide_vectors: np.ndarray | None = None  # (C, M)
     guide_space: str = "logit"
-    guide_weight: float = 1.0
     guide_valid: np.ndarray | None = None  # (C,) bool
 
     def __post_init__(self):
-        if self.guide_space not in ("logit", "feature"):
+        if self.guide_space not in SPACES:
             raise ContractViolation(f"unknown guide space {self.guide_space!r}")
         if not self.use_ce and self.guide_vectors is None:
             raise ContractViolation("LossConfig selects no loss term")
@@ -311,7 +312,7 @@ def total_loss(
         per = ((guided - targets) ** 2).mean(axis=1)
         if cfg.guide_valid is not None:
             per = per * cfg.guide_valid[batch.labels]
-        loss += cfg.guide_weight * float(per.sum()) / n
+        loss += float(per.sum()) / n
     return loss
 
 
@@ -373,7 +374,7 @@ def grad_params(
                 f"guide vectors have dim {d_guided.shape[-1]}, guided output {guided.shape[-1]}"
             )
         np.subtract(guided, d_guided, out=d_guided)
-        d_guided *= 2.0 * cfg.guide_weight / (d_guided.shape[-1] * n)
+        d_guided *= 2.0 / (d_guided.shape[-1] * n)
         if cfg.guide_valid is not None:
             d_guided *= cfg.guide_valid[batch.labels][..., None]
         if cfg.guide_space == "logit":
@@ -432,7 +433,7 @@ def jvp_guided_batch(
     stack of k clients, ``direction`` is (k, P), ``inputs`` (k, n, d), and the
     result (k, n, M).
     """
-    if space not in ("logit", "feature"):
+    if space not in SPACES:
         raise ContractViolation(f"unknown guide space {space!r}")
     direction = np.asarray(direction, dtype=np.float64)
     if direction.shape != params.flat.shape:

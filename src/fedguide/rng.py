@@ -1,9 +1,11 @@
-"""Keyed random-number streams for reproducible parallel simulation.
+"""Keyed random-number streams for reproducible simulation.
 
 Every random draw in the simulator comes from a generator derived from
 (seed, *path), where the path encodes what the stream is for and which
-client/round it belongs to. Streams are therefore independent of scheduling:
-two runs with different worker counts consume exactly the same numbers.
+client/round it belongs to. No stream carries state from one draw site to
+the next, so results do not depend on the order in which clients are
+stepped, and a run resumed at round t draws exactly the numbers an
+uninterrupted run would.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """CLI harness tests: config parsing and precedence, metric-file
 determinism and round-trips, summaries, and comparisons."""
 
+import dataclasses
 import json
 import os
 
@@ -201,3 +202,163 @@ def test_format_metrics_csv_is_deterministic():
     assert format_metrics_csv([m]) == format_metrics_csv([m])
     line = format_metrics_csv([m]).splitlines()[1]
     assert line == "1,0.5,1.25,0.0,10,20,0.125"
+
+
+# Every run option: (key, raw value, the RunConfig/TaskConfig fields it sets).
+# Together the entries set every field of both configs except ``seed`` and
+# ``task``; ``seed`` and ``out`` feed the ExperimentConfig instead.
+OPTION_CASES = [
+    ("method", "fedproto", {"method": "fedproto"}),
+    ("clients", "10", {"n_clients": 10}),
+    ("rho", "0.5", {"rho": 0.5}),
+    ("rounds", "100", {"rounds": 100}),
+    ("warmup", "10", {"warmup": 10}),
+    ("eta_c", "0.05", {"eta_c": 0.05}),
+    ("eta_s", "0.5", {"eta_s": 0.5}),
+    ("eta_s_scale", "0.25", {"eta_s_scale": 0.25}),
+    ("batch_size", "20", {"batch_size": 20}),
+    ("quiz_size", "5", {"quiz_size": 5}),
+    ("feature_dim", "16", {"feature_dim": 16}),
+    ("activation", "tanh", {"activation": "tanh"}),
+    ("workers", "3", {"workers": 3}),
+    ("eval_every", "5", {"eval_every": 5}),
+    ("partition", "dirichlet:0.5", {"task.partition": "dirichlet", "task.beta": 0.5}),
+    ("partition", "pathological:3",
+     {"task.partition": "pathological", "task.classes_per_client": 3}),
+    ("noise", "0.05:0.2", {"noise_s": 0.05, "noise_p": 0.2}),
+    ("data", "points.csv", {"task.source": "points.csv"}),
+    ("class_count", "5", {"task.class_count": 5}),
+    ("input_dim", "16", {"task.input_dim": 16}),
+    ("samples_per_class", "100", {"task.samples_per_class": 100}),
+    ("cluster_spread", "0.5", {"task.cluster_spread": 0.5}),
+    ("test_fraction", "0.3", {"task.test_fraction": 0.3}),
+]
+
+
+def _json_value(raw: str):
+    """A raw option value as a config file would hold it."""
+    for kind in (int, float):
+        try:
+            return kind(raw)
+        except ValueError:
+            pass
+    return raw
+
+
+def _option_argv(options: dict) -> list[str]:
+    return [arg for key, raw in options.items() for arg in ("--" + key.replace("_", "-"), raw)]
+
+
+def _parse_from(source: str, options: dict, tmp_path, monkeypatch):
+    """parse_config with ``options`` given only as flags, env vars or a file."""
+    if source == "flag":
+        return parse_config(_option_argv(options))
+    if source == "env":
+        for key, raw in options.items():
+            monkeypatch.setenv("FEDGUIDE_" + key.upper(), raw)
+        return parse_config([])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: _json_value(raw) for key, raw in options.items()}))
+    return parse_config(["--config", str(path)])
+
+
+def _field(run: RunConfig, name: str):
+    obj = run
+    for part in name.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_option_cases_cover_every_config_field():
+    covered = {name for _, _, fields in OPTION_CASES for name in fields}
+    expected = {f.name for f in dataclasses.fields(RunConfig)} - {"seed", "task"}
+    expected |= {"task." + f.name for f in dataclasses.fields(TaskConfig)}
+    assert covered == expected
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "file"])
+@pytest.mark.parametrize("key,raw,fields", OPTION_CASES)
+def test_every_option_sets_its_field_from_each_source(
+    source, key, raw, fields, tmp_path, monkeypatch
+):
+    cfg = _parse_from(source, {key: raw}, tmp_path, monkeypatch)
+    for name, value in fields.items():
+        if name != "task.partition":  # dirichlet is also the default
+            assert _field(RunConfig(), name) != value
+        assert _field(cfg.run, name) == value
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "file"])
+def test_seed_and_out_options_from_each_source(source, tmp_path, monkeypatch):
+    cfg = _parse_from(source, {"seed": "4,5", "out": "elsewhere"}, tmp_path, monkeypatch)
+    assert cfg.seeds == (4, 5)
+    assert cfg.out_dir == "elsewhere"
+
+
+@pytest.mark.parametrize("method", ["fedl2g-l", "fedl2g-f", "fedproto", "feddistill", "local-only"])
+def test_flags_env_and_file_write_identical_outputs(method, tmp_path, monkeypatch):
+    options = dict(zip(TINY[::2], TINY[1::2]))
+    options = {flag[2:].replace("-", "_"): raw for flag, raw in options.items()}
+    options.update(method=method, seed="1,2", noise="0.05:0.2", eval_every="2")
+    outputs = {}
+    for source in ("flag", "env", "file"):
+        with monkeypatch.context() as mp:
+            out = tmp_path / source
+            cfg = _parse_from(source, {**options, "out": str(out)}, tmp_path, mp)
+            run_experiment(cfg)
+        outputs[source] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(outputs["flag"]) == 3
+    assert outputs["flag"] == outputs["env"] == outputs["file"]
+
+
+def test_run_help_lists_every_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for key in {key for key, _, _ in OPTION_CASES} | {"config", "seed", "out"}:
+        assert "--" + key.replace("_", "-") in text
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "file"])
+def test_bad_activation_rejected_before_any_output(source, tmp_path, monkeypatch):
+    with pytest.raises(ConfigError, match="activation"):
+        _parse_from(source, {"activation": "sigmoid"}, tmp_path, monkeypatch)
+    out = tmp_path / "out"
+    argv = {"flag": _option_argv({"activation": "sigmoid"}), "env": [],
+            "file": ["--config", str(tmp_path / "cfg.json")]}[source]
+    assert main(["run", *argv, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_successful_run_removes_a_stale_failure_marker(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("0.5,x,1\n")
+    out = tmp_path / "out"
+    run = ["run", *TINY, "--method", "local-only", "--out", str(out)]
+    assert main([*run, "--input-dim", "2", "--data", str(bad)]) == 1
+    assert (out / "FAILED.txt").exists()
+    assert main(run) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "metrics_local-only_run00_seed1.csv", "summary_local-only.json"
+    ]
+
+
+def test_compare_bad_input_is_a_config_error_naming_the_path(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", *TINY, "--method", "local-only", "--out", str(out)]) == 0
+    good = str(out / "summary_local-only.json")
+    not_json = tmp_path / "not.json"
+    not_json.write_text("round,accuracy\n")
+    partial = tmp_path / "partial.json"
+    summary = json.loads(open(good, encoding="utf-8").read())
+    del summary["final_accuracy_std"]
+    partial.write_text(json.dumps(summary))
+    capsys.readouterr()
+    for path, why in [(tmp_path / "missing.json", "cannot read"),
+                      (not_json, "not valid JSON"),
+                      (partial, "final_accuracy_std")]:
+        assert main(["compare", good, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: compare: ")
+        assert str(path) in err and why in err

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from fedguide import data
-from fedguide.data import DelimitedSchema
 from fedguide.errors import ContractViolation, DataFormatError, PartitionError
 
 
@@ -37,7 +36,7 @@ def test_synthetic_zero_spread_collapses_clusters():
 def test_load_delimited_roundtrip(tmp_path):
     path = tmp_path / "toy.csv"
     path.write_text("1.0,2.0,0\n-0.5,0.25,1\n3.5,4.5,2\n", encoding="utf-8")
-    ds = data.load_delimited(str(path), DelimitedSchema(2, 3))
+    ds = data.load_delimited(str(path), 2, 3)
     assert len(ds) == 3
     assert ds.labels.tolist() == [0, 1, 2]
     assert ds.inputs[1].tolist() == [-0.5, 0.25]
@@ -47,28 +46,28 @@ def test_load_delimited_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")
     with pytest.raises(DataFormatError):
-        data.load_delimited(str(path), DelimitedSchema(2, 3))
+        data.load_delimited(str(path), 2, 3)
 
 
 def test_load_delimited_label_out_of_range_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0,0\n1.0,2.0,3\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match="line 2"):
-        data.load_delimited(str(path), DelimitedSchema(2, 3))
+        data.load_delimited(str(path), 2, 3)
 
 
 def test_load_delimited_parse_error_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,x,0\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match="line 1"):
-        data.load_delimited(str(path), DelimitedSchema(2, 3))
+        data.load_delimited(str(path), 2, 3)
 
 
 def test_load_delimited_wrong_field_count(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,0\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match="expected 3 fields"):
-        data.load_delimited(str(path), DelimitedSchema(2, 3))
+        data.load_delimited(str(path), 2, 3)
 
 
 def test_dirichlet_conserves_samples():

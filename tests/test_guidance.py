@@ -336,5 +336,10 @@ def test_guidance_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(method="fedl2g-f", eta_c=0.1, eta_s=-1.0).validate()
     RunConfig(method="fedl2g-l", eta_c=0.01, eta_s=0.1).validate()
-    gset = GuidingVectorSet(np.zeros((3, 3)), "logit")
-    assert guided_loss_config(gset).guide_weight == 1.0  # ce and guide weighted equally
+    # ce and the guide mse are weighted equally
+    spec, params, batch, _, gset, _ = make_instance(2, space="logit")
+    _, logits = nn.forward_batch(spec, params, batch.inputs)
+    ce = nn.total_loss(spec, params, batch, LossConfig(use_ce=True))
+    mse = float(((logits - gset.vectors[batch.labels]) ** 2).mean())
+    total = nn.total_loss(spec, params, batch, guided_loss_config(gset))
+    assert total == pytest.approx(ce + mse, rel=1e-12)
