@@ -75,6 +75,13 @@ def _parse_noise(value) -> tuple[float, float]:
         raise ConfigError(f"noise: expected s:p, got {value!r}") from None
 
 
+def _parse_int(value) -> int:
+    """An integer option: a config file's 2.7 or true is an error, not 2 or 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_seeds(value) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in str(value).split(","))
@@ -93,27 +100,31 @@ class _Option(NamedTuple):
 # Options without a field are unpacked by parse_config itself.
 _OPTIONS: dict[str, _Option] = {
     "method": _Option(str, "method", f"one of {', '.join(METHODS)}"),
-    "clients": _Option(int, "n_clients", "number of clients N"),
+    "clients": _Option(_parse_int, "n_clients", "number of clients N"),
     "rho": _Option(float, "rho", "share of clients sampled each round, in (0, 1]"),
-    "rounds": _Option(int, "rounds", "communication rounds"),
-    "warmup": _Option(int, "warmup", "rounds of guiding-vector training before local training"),
+    "rounds": _Option(_parse_int, "rounds", "communication rounds"),
+    "warmup": _Option(
+        _parse_int, "warmup", "rounds of guiding-vector training before local training"
+    ),
     "eta_c": _Option(float, "eta_c", "client learning rate"),
     "eta_s": _Option(float, "eta_s", "server learning rate; default from the space"),
     "eta_s_scale": _Option(float, "eta_s_scale", "factor on the space's default server rate"),
-    "batch_size": _Option(int, "batch_size", "study mini-batch size"),
-    "quiz_size": _Option(int, "quiz_size", "quiz samples held out per client"),
-    "feature_dim": _Option(int, "feature_dim", "feature dimension K of every model"),
+    "batch_size": _Option(_parse_int, "batch_size", "study mini-batch size"),
+    "quiz_size": _Option(_parse_int, "quiz_size", "quiz samples held out per client"),
+    "feature_dim": _Option(_parse_int, "feature_dim", "feature dimension K of every model"),
     "activation": _Option(str, "activation", f"one of {', '.join(ACTIVATIONS)}"),
-    "workers": _Option(int, "workers", "no effect: every round runs on one thread"),
-    "eval_every": _Option(int, "eval_every", "evaluate every this many rounds, and at the last"),
+    "workers": _Option(_parse_int, "workers", "no effect: every round runs on one thread"),
+    "eval_every": _Option(
+        _parse_int, "eval_every", "evaluate every this many rounds, and at the last"
+    ),
     "partition": _Option(_parse_partition, None, "dirichlet:BETA or pathological:CPC"),
     "noise": _Option(_parse_noise, None, "s:p Gaussian perturbation of uploads"),
     "seed": _Option(_parse_seeds, None, "seed or comma-separated seed list"),
     "out": _Option(str, None, "output directory"),
     "data": _Option(str, "source", "delimited dataset file; default synthetic"),
-    "class_count": _Option(int, "class_count", "number of classes C"),
-    "input_dim": _Option(int, "input_dim", "input dimension d"),
-    "samples_per_class": _Option(int, "samples_per_class", "synthetic samples per class"),
+    "class_count": _Option(_parse_int, "class_count", "number of classes C"),
+    "input_dim": _Option(_parse_int, "input_dim", "input dimension d"),
+    "samples_per_class": _Option(_parse_int, "samples_per_class", "synthetic samples per class"),
     "cluster_spread": _Option(float, "cluster_spread", "std of each synthetic class cluster"),
     "test_fraction": _Option(float, "test_fraction", "share of client samples kept for test"),
 }

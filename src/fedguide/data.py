@@ -81,38 +81,46 @@ def generate_synthetic(
     gen = rngmod.stream(seed, rngmod.DATA)
     means = gen.standard_normal((class_count, input_dim))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
-    n = class_count * samples_per_class
-    noise = gen.standard_normal((n, input_dim))
+    # Built in place, the pool's only full-size array: the noise, scaled, plus
+    # each class's mean on its block of rows (the labels run class by class).
+    # Element for element this is means[labels] + cluster_spread * noise.
+    inputs = gen.standard_normal((class_count * samples_per_class, input_dim))
+    inputs *= cluster_spread
+    class_blocks = inputs.reshape(class_count, samples_per_class, input_dim)  # a view
+    class_blocks += means[:, None, :]
     labels = np.repeat(np.arange(class_count), samples_per_class)
-    inputs = means[labels] + cluster_spread * noise
     return Dataset(inputs, labels, class_count)
 
 
 def load_delimited(path: str, input_dim: int, class_count: int) -> Dataset:
     """Load a headerless comma-delimited file, each row ``input_dim`` floats
     then one integer label; row order preserved."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"{path}: cannot read: {exc}") from exc
     rows: list[list[float]] = []
     labels: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != input_dim + 1:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: expected {input_dim + 1} fields, got {len(parts)}"
-                )
-            try:
-                rows.append([float(v) for v in parts[:-1]])
-                label = int(parts[-1])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
-            if not 0 <= label < class_count:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: label {label} outside [0, {class_count})"
-                )
-            labels.append(label)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != input_dim + 1:
+            raise DataFormatError(
+                f"{path}: line {lineno}: expected {input_dim + 1} fields, got {len(parts)}"
+            )
+        try:
+            rows.append([float(v) for v in parts[:-1]])
+            label = int(parts[-1])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
+        if not 0 <= label < class_count:
+            raise DataFormatError(
+                f"{path}: line {lineno}: label {label} outside [0, {class_count})"
+            )
+        labels.append(label)
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     return Dataset(np.array(rows), np.array(labels), class_count)
@@ -130,41 +138,53 @@ def _largest_remainder(shares: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
+def _exhausted(
+    scheme: str, attempts: int, n_clients: int, min_per_client: int, best: int, levers: str
+) -> PartitionError:
+    """The error for a partitioner that used up its redraws, saying what to change."""
+    return PartitionError(
+        f"{scheme} partition failed after {attempts} redraws: every draw left some "
+        f"of the N={n_clients} clients below min_per_client={min_per_client} samples "
+        f"(the best draw's smallest client had {best}). Try {levers}, or a smaller "
+        f"n_clients or quiz_size (a run needs 2 * quiz_size samples per client)."
+    )
+
+
 def partition_dirichlet(
     ds: Dataset,
     n_clients: int,
     beta: float,
     seed: int,
     min_per_client: int = 20,
-    max_retries: int = 100,
+    max_retries: int = 1000,
 ) -> PartitionPlan:
     """Assign each class's samples by Dirichlet(beta) client shares.
 
     Redraws the whole plan (up to ``max_retries`` times) if any client ends
-    up with fewer than ``min_per_client`` samples.
+    up with fewer than ``min_per_client`` samples. Draw ``a`` comes from its
+    own stream, so a plan does not depend on the cap it was found under.
     """
     if n_clients < 2:
         raise ContractViolation("partition_dirichlet needs at least 2 clients")
     if beta <= 0:
         raise ContractViolation("beta must be > 0")
+    scheme = f"dirichlet(beta={beta})"
+    members = [np.nonzero(ds.labels == y)[0] for y in range(ds.class_count)]
+    clients = np.arange(n_clients)
+    best = 0
     for attempt in range(max_retries):
         gen = rngmod.stream(seed, rngmod.PARTITION, attempt)
         assignment = np.empty(len(ds), dtype=np.int64)
-        for y in range(ds.class_count):
-            idx = np.nonzero(ds.labels == y)[0]
-            gen.shuffle(idx)
+        for class_members in members:
+            idx = gen.permutation(class_members)
             shares = gen.dirichlet(np.full(n_clients, beta))
-            counts = _largest_remainder(shares, idx.shape[0])
-            start = 0
-            for client, c in enumerate(counts):
-                assignment[idx[start : start + c]] = client
-                start += c
-        sizes = np.bincount(assignment, minlength=n_clients)
-        if sizes.min() >= min_per_client:
-            return PartitionPlan(assignment, f"dirichlet(beta={beta})", n_clients, seed)
-    raise PartitionError(
-        f"dirichlet partition failed after {max_retries} redraws: some client "
-        f"stayed below {min_per_client} samples (beta={beta}, N={n_clients})"
+            assignment[idx] = np.repeat(clients, _largest_remainder(shares, idx.shape[0]))
+        smallest = int(np.bincount(assignment, minlength=n_clients).min())
+        if smallest >= min_per_client:
+            return PartitionPlan(assignment, scheme, n_clients, seed)
+        best = max(best, smallest)
+    raise _exhausted(
+        scheme, max_retries, n_clients, min_per_client, best, "a larger beta or samples_per_class"
     )
 
 
@@ -189,43 +209,36 @@ def partition_pathological(
         raise ContractViolation(
             "infeasible: N * classes_per_client < C leaves some class unassigned"
         )
+    scheme = f"pathological(cpc={classes_per_client})"
+    members = [np.nonzero(ds.labels == y)[0] for y in range(C)]
+    best = 0
     for attempt in range(max_retries):
         gen = rngmod.stream(seed, rngmod.PARTITION, attempt)
         usage = np.zeros(C, dtype=np.int64)
-        client_classes: list[np.ndarray] = []
-        for _ in range(n_clients):
+        holds = np.zeros((C, n_clients), dtype=bool)  # holds[y, i]: client i has class y
+        for i in range(n_clients):
             tiebreak = gen.permutation(C)
-            order = np.lexsort((tiebreak, usage))
-            chosen = order[:classes_per_client]
+            chosen = np.lexsort((tiebreak, usage))[:classes_per_client]
             usage[chosen] += 1
-            client_classes.append(np.sort(chosen))
+            holds[chosen, i] = True
 
         assignment = np.empty(len(ds), dtype=np.int64)
-        ok = True
         for y in range(C):
-            holders = np.array([i for i in range(n_clients) if y in client_classes[i]])
-            idx = np.nonzero(ds.labels == y)[0]
-            gen.shuffle(idx)
+            holders = np.nonzero(holds[y])[0]
+            idx = gen.permutation(members[y])
             k = holders.shape[0]
             if idx.shape[0] < k:
-                ok = False
-                break
+                break  # some holder of class y would get no sample
             shares = gen.dirichlet(np.ones(k))
             counts = _largest_remainder(shares, idx.shape[0] - k) + 1
-            start = 0
-            for client, c in zip(holders, counts):
-                assignment[idx[start : start + c]] = client
-                start += c
-        if not ok:
-            continue
-        sizes = np.bincount(assignment, minlength=n_clients)
-        if sizes.min() >= min_per_client:
-            return PartitionPlan(
-                assignment, f"pathological(cpc={classes_per_client})", n_clients, seed
-            )
-    raise PartitionError(
-        f"pathological partition failed after {max_retries} redraws "
-        f"(cpc={classes_per_client}, N={n_clients})"
+            assignment[idx] = np.repeat(holders, counts)
+        else:
+            smallest = int(np.bincount(assignment, minlength=n_clients).min())
+            if smallest >= min_per_client:
+                return PartitionPlan(assignment, scheme, n_clients, seed)
+            best = max(best, smallest)
+    raise _exhausted(
+        scheme, max_retries, n_clients, min_per_client, best, "a larger samples_per_class"
     )
 
 

@@ -362,3 +362,35 @@ def test_compare_bad_input_is_a_config_error_naming_the_path(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: compare: ")
         assert str(path) in err and why in err
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "file"])
+@pytest.mark.parametrize(
+    "key,value", [("clients", 2.7), ("rounds", True), ("warmup", 3.0), ("quiz_size", "ten")]
+)
+def test_integer_options_reject_fractions_and_booleans(source, key, value, tmp_path, monkeypatch):
+    # Flags and environment variables carry the text a config file's JSON
+    # value would be written as: 2.7, true, 3.0.
+    text = value if isinstance(value, str) else json.dumps(value)
+    if source == "file":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        argv = ["--config", str(path)]
+    elif source == "env":
+        monkeypatch.setenv("FEDGUIDE_" + key.upper(), text)
+        argv = []
+    else:
+        argv = _option_argv({key: text})
+    with pytest.raises(ConfigError, match=f"{key}: cannot parse"):
+        parse_config(argv)
+
+
+def test_unreadable_data_file_fails_the_run_with_a_marker(tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    out = tmp_path / "out"
+    argv = ["run", *TINY, "--method", "local-only", "--data", str(missing), "--out", str(out)]
+    assert main(argv) == 1
+    assert str(missing) in (out / "FAILED.txt").read_text()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err

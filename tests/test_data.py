@@ -4,8 +4,9 @@ partitioners, and client splits."""
 import numpy as np
 import pytest
 
-from fedguide import data
+from fedguide import data, federation, rng
 from fedguide.errors import ContractViolation, DataFormatError, PartitionError
+from fedguide.federation import RunConfig
 
 
 def small_pool(seed=0, c=4, n_per=60):
@@ -63,6 +64,17 @@ def test_load_delimited_parse_error_names_line(tmp_path):
         data.load_delimited(str(path), 2, 3)
 
 
+def test_load_delimited_unreadable_path_is_a_data_format_error(tmp_path):
+    for path in (tmp_path / "missing.csv", tmp_path):  # absent, and a directory
+        with pytest.raises(DataFormatError, match="cannot read") as exc:
+            data.load_delimited(str(path), 2, 3)
+        assert str(path) in str(exc.value)
+    binary = tmp_path / "latin1.csv"
+    binary.write_bytes(b"1.0,2.0,0\n\xff,1.0,1\n")
+    with pytest.raises(DataFormatError, match="cannot read"):
+        data.load_delimited(str(binary), 2, 3)
+
+
 def test_load_delimited_wrong_field_count(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,0\n", encoding="utf-8")
@@ -107,6 +119,42 @@ def test_dirichlet_redraw_exhaustion_errors():
     ds = small_pool(n_per=8)  # 32 samples over 4 clients cannot give 30 each
     with pytest.raises(PartitionError, match="redraws"):
         data.partition_dirichlet(ds, 4, 0.1, seed=0, min_per_client=30, max_retries=5)
+
+
+def test_partition_errors_say_what_to_change():
+    ds = small_pool(n_per=8)
+    with pytest.raises(PartitionError) as exc:
+        data.partition_dirichlet(ds, 4, 0.1, seed=0, min_per_client=30, max_retries=5)
+    message = str(exc.value)
+    for part in ("after 5 redraws", "N=4", "min_per_client=30", "smallest client had",
+                 "larger beta or samples_per_class", "smaller n_clients or quiz_size"):
+        assert part in message
+    best = int(message.split("smallest client had ")[1].split(")")[0])
+    assert 0 <= best < 30
+    with pytest.raises(PartitionError) as exc:
+        data.partition_pathological(ds, 2, 2, seed=0, min_per_client=30, max_retries=3)
+    message = str(exc.value)
+    for part in ("after 3 redraws", "N=2", "min_per_client=30", "smallest client had",
+                 "larger samples_per_class", "smaller n_clients or quiz_size"):
+        assert part in message
+
+
+@pytest.mark.parametrize("seed", [5, 63, 1102])
+def test_default_task_builds_on_seeds_that_needed_over_100_redraws(seed):
+    ds = federation.build_dataset(RunConfig(seed=seed))
+    with pytest.raises(PartitionError):
+        data.partition_dirichlet(ds, 20, 0.1, seed, 20, max_retries=100)
+    clients = federation.build_clients(RunConfig(seed=seed))
+    assert min(len(c.data.study) + len(c.data.quiz) + len(c.data.test) for c in clients) >= 20
+
+
+def test_raising_the_redraw_cap_keeps_every_plan_found_under_the_old_one():
+    ds = federation.build_dataset(RunConfig(seed=1))
+    seeds = [s for s in range(1, 23) if s != 5]
+    for seed in seeds[:20]:
+        old = data.partition_dirichlet(ds, 20, 0.1, seed, 20, max_retries=100)
+        new = data.partition_dirichlet(ds, 20, 0.1, seed, 20)
+        assert old.assignment.tobytes() == new.assignment.tobytes()
 
 
 def test_dirichlet_rejects_bad_args():
@@ -223,3 +271,113 @@ def test_split_client_inventory_matches_study():
 def test_dataset_rejects_bad_labels():
     with pytest.raises(ContractViolation):
         data.Dataset(np.zeros((2, 3)), np.array([0, 5]), 3)
+
+
+# Reference copies of the set-up formulas as first written (array arithmetic
+# over the whole pool, one slice write per client). The rewritten set-up must
+# reproduce their bits: every dataset, partition and metric digest hangs on
+# them.
+
+
+def _reference_synthetic(class_count, input_dim, samples_per_class, cluster_spread, seed):
+    gen = rng.stream(seed, rng.DATA)
+    means = gen.standard_normal((class_count, input_dim))
+    means /= np.linalg.norm(means, axis=1, keepdims=True)
+    n = class_count * samples_per_class
+    noise = gen.standard_normal((n, input_dim))
+    labels = np.repeat(np.arange(class_count), samples_per_class)
+    return means[labels] + cluster_spread * noise, labels
+
+
+def _reference_dirichlet(ds, n_clients, beta, seed, min_per_client, max_retries):
+    for attempt in range(max_retries):
+        gen = rng.stream(seed, rng.PARTITION, attempt)
+        assignment = np.empty(len(ds), dtype=np.int64)
+        for y in range(ds.class_count):
+            idx = np.nonzero(ds.labels == y)[0]
+            gen.shuffle(idx)
+            shares = gen.dirichlet(np.full(n_clients, beta))
+            counts = data._largest_remainder(shares, idx.shape[0])
+            start = 0
+            for client, c in enumerate(counts):
+                assignment[idx[start : start + c]] = client
+                start += c
+        if np.bincount(assignment, minlength=n_clients).min() >= min_per_client:
+            return assignment
+    return None
+
+
+def _reference_pathological(ds, n_clients, cpc, seed, min_per_client, max_retries):
+    C = ds.class_count
+    for attempt in range(max_retries):
+        gen = rng.stream(seed, rng.PARTITION, attempt)
+        usage = np.zeros(C, dtype=np.int64)
+        client_classes = []
+        for _ in range(n_clients):
+            tiebreak = gen.permutation(C)
+            order = np.lexsort((tiebreak, usage))
+            chosen = order[:cpc]
+            usage[chosen] += 1
+            client_classes.append(np.sort(chosen))
+        assignment = np.empty(len(ds), dtype=np.int64)
+        ok = True
+        for y in range(C):
+            holders = np.array([i for i in range(n_clients) if y in client_classes[i]])
+            idx = np.nonzero(ds.labels == y)[0]
+            gen.shuffle(idx)
+            k = holders.shape[0]
+            if idx.shape[0] < k:
+                ok = False
+                break
+            shares = gen.dirichlet(np.ones(k))
+            counts = data._largest_remainder(shares, idx.shape[0] - k) + 1
+            start = 0
+            for client, c in zip(holders, counts):
+                assignment[idx[start : start + c]] = client
+                start += c
+        if ok and np.bincount(assignment, minlength=n_clients).min() >= min_per_client:
+            return assignment
+    return None
+
+
+@pytest.mark.parametrize("spread", [0.0, 0.3, 0.75])
+@pytest.mark.parametrize("shape", [(10, 32, 200), (10, 32, 2000), (3, 4, 5), (1, 1, 1), (7, 3, 11)])
+def test_synthetic_equals_the_reference_formula_bitwise(shape, spread):
+    for seed in (1, 5):
+        ds = data.generate_synthetic(*shape, spread, seed)
+        inputs, labels = _reference_synthetic(*shape, spread, seed)
+        assert ds.inputs.tobytes() == inputs.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()
+
+
+def _label_pool(class_count, samples_per_class):
+    """A pool whose labels are laid out as generate_synthetic lays them out;
+    the partitioners read nothing else."""
+    labels = np.repeat(np.arange(class_count), samples_per_class)
+    return data.Dataset(np.zeros((labels.shape[0], 1)), labels, class_count)
+
+
+# (samples per class, N, the Dirichlet beta): the paper task, and wide-l's
+# pool and client count. Dirichlet(0.1) never reaches 20 samples on every one
+# of 100 clients, so the wide shape draws its Dirichlet plans at beta 0.3.
+PARTITION_SHAPES = {"paper": (200, 20, 0.1), "wide-l": (2000, 100, 0.3)}
+
+
+@pytest.mark.parametrize("shape", PARTITION_SHAPES)
+def test_partitioners_equal_the_reference_loops_bitwise(shape):
+    spc, n_clients, beta = PARTITION_SHAPES[shape]
+    ds = _label_pool(10, spc)
+    failures = 0
+    for seed in range(1, 51):
+        expected = _reference_dirichlet(ds, n_clients, beta, seed, 20, 100)
+        if expected is None:
+            failures += 1
+            with pytest.raises(PartitionError):
+                data.partition_dirichlet(ds, n_clients, beta, seed, 20, max_retries=100)
+        else:
+            plan = data.partition_dirichlet(ds, n_clients, beta, seed, 20, max_retries=100)
+            assert plan.assignment.tobytes() == expected.tobytes()
+        expected = _reference_pathological(ds, n_clients, 2, seed, 20, 100)
+        plan = data.partition_pathological(ds, n_clients, 2, seed, 20)
+        assert plan.assignment.tobytes() == expected.tobytes()
+    assert failures <= 1  # paper seed 5 exhausts 100 redraws
