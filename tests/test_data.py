@@ -150,8 +150,7 @@ def test_default_task_builds_on_seeds_that_needed_over_100_redraws(seed):
 
 def test_raising_the_redraw_cap_keeps_every_plan_found_under_the_old_one():
     ds = federation.build_dataset(RunConfig(seed=1))
-    seeds = [s for s in range(1, 23) if s != 5]
-    for seed in seeds[:20]:
+    for seed in [s for s in range(1, 22) if s != 5]:  # 20 seeds that build under 100
         old = data.partition_dirichlet(ds, 20, 0.1, seed, 20, max_retries=100)
         new = data.partition_dirichlet(ds, 20, 0.1, seed, 20)
         assert old.assignment.tobytes() == new.assignment.tobytes()
