@@ -74,11 +74,9 @@ def local_prototypes(
         raise ContractViolation(f"{out.shape[0]} output rows for {len(study)} study samples")
     C = study.class_count
     vectors = np.zeros((C, out.shape[1]))
-    counts = np.zeros(C, dtype=np.int64)
-    for y in np.unique(study.labels):
-        rows = out[study.labels == y]
-        vectors[y] = rows.mean(axis=0)
-        counts[y] = rows.shape[0]
+    counts = np.bincount(study.labels, minlength=C)
+    for y in np.flatnonzero(counts):
+        vectors[y] = out[study.labels == y].mean(axis=0)
     return vectors, counts
 
 

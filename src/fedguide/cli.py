@@ -84,9 +84,12 @@ def _parse_int(value) -> int:
 
 def _parse_seeds(value) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in str(value).split(","))
+        seeds = tuple(int(part) for part in str(value).split(","))
     except ValueError:
         raise ConfigError(f"seed: expected S[,S...], got {value!r}") from None
+    if min(seeds) < 0:
+        raise ConfigError(f"seed: must be >= 0, got {value!r}")
+    return seeds
 
 
 class _Option(NamedTuple):

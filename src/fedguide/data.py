@@ -51,8 +51,11 @@ class PartitionPlan:
     n_clients: int
     seed: int
 
-    def client_indices(self, client: int) -> np.ndarray:
-        return np.nonzero(self.assignment == client)[0]
+    def shards(self) -> list[np.ndarray]:
+        """Every client's sample indices, ascending, cut from one stable sort
+        of the assignment."""
+        order = np.argsort(self.assignment, kind="stable")
+        return np.split(order, np.cumsum(self.client_sizes())[:-1])
 
     def client_sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.n_clients)
@@ -275,17 +278,23 @@ def split_client(
         )
 
     # train_idx is already shuffled, so each class's first members are a
-    # random draw.
+    # random draw. A stable sort by class lists them class by class, each in
+    # train_idx order; a member's rank in its class picks it for the quiz.
     train_labels = ds_i.labels[train_idx]
-    classes, class_counts = np.unique(train_labels, return_counts=True)
-    quotas = _largest_remainder(class_counts / class_counts.sum(), quiz_size)
-    quiz_idx = np.concatenate(
-        [train_idx[train_labels == y][:q] for y, q in zip(classes, quotas)]
-    )
-    study_idx = np.setdiff1d(train_idx, quiz_idx)
+    counts = np.bincount(train_labels, minlength=ds_i.class_count)
+    classes = np.flatnonzero(counts)
+    quotas = np.zeros_like(counts)
+    quotas[classes] = _largest_remainder(counts[classes] / counts[classes].sum(), quiz_size)
+    by_class = np.argsort(train_labels, kind="stable")
+    sorted_labels = train_labels[by_class]
+    rank = np.arange(by_class.shape[0]) - (np.cumsum(counts) - counts)[sorted_labels]
+    quiz_idx = train_idx[by_class[rank < quotas[sorted_labels]]]
+    keep = np.zeros(n, dtype=bool)  # the study set: training rows not in the quiz
+    keep[train_idx] = True
+    keep[quiz_idx] = False
 
-    study = ds_i.subset(study_idx)
+    study = ds_i.subset(keep)
     quiz = MiniBatch(ds_i.inputs[quiz_idx], ds_i.labels[quiz_idx])
     test = ds_i.subset(test_idx)
-    inventory = tuple(int(y) for y in np.unique(study.labels))
+    inventory = tuple(int(y) for y in np.flatnonzero(np.bincount(study.labels)))
     return ClientDataset(study, quiz, test, inventory)

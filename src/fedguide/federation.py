@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import time
@@ -86,6 +87,15 @@ def method_space(method: str) -> str | None:
     return None
 
 
+def _check_finite(config, *names: str):
+    """Raise, naming the field, if a float option is nan or infinite; range
+    checks alone let nan through (every comparison with it is false)."""
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{name}: must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TaskConfig:
     """Dataset source and partition scheme."""
@@ -101,6 +111,7 @@ class TaskConfig:
     test_fraction: float = 0.25
 
     def validate(self):
+        _check_finite(self, "beta", "cluster_spread")
         if self.partition not in ("dirichlet", "pathological"):
             raise ConfigError(f"partition: unknown scheme {self.partition!r}")
         if self.partition == "dirichlet" and self.beta <= 0:
@@ -142,6 +153,7 @@ class RunConfig:
     task: TaskConfig = field(default_factory=TaskConfig)
 
     def validate(self):
+        _check_finite(self, "eta_c", "eta_s", "eta_s_scale", "noise_s")
         if self.method not in METHODS:
             raise ConfigError(f"method: unknown method {self.method!r}")
         if not 0 < self.rho <= 1:
@@ -166,6 +178,8 @@ class RunConfig:
             raise ConfigError("workers: must be >= 1")
         if self.eval_every < 1:
             raise ConfigError("eval_every: must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed: must be >= 0")
         self.task.validate()
 
     @property
@@ -266,8 +280,8 @@ def build_clients(config: RunConfig) -> list[ClientState]:
             ds, config.n_clients, task.classes_per_client, config.seed, min_per_client
         )
     clients = []
-    for i in range(config.n_clients):
-        shard = ds.subset(plan.client_indices(i))
+    for i, shard_idx in enumerate(plan.shards()):
+        shard = ds.subset(shard_idx)
         data = split_client(shard, task.test_fraction, config.quiz_size, config.seed, i)
         spec = family_spec(
             i, task.input_dim, config.feature_dim, task.class_count, config.activation
@@ -370,13 +384,21 @@ def _group_work(
         )
         inputs[j], labels[j] = s.inputs[idx], s.labels[idx]
     batch = MiniBatch(inputs, labels)
-    g = grad_params(spec, stacked, batch, loss_cfg)
+    study_layers = []  # g's forward pass, which the guidance JVP reuses
+    g = grad_params(spec, stacked, batch, loss_cfg, layers_out=study_layers)
 
     study_ce = [None] * len(members)
     if config.method in GUIDED_METHODS:
         quiz = stack_batches([c.data.quiz for c in members])
         uploads = guidance_gradient(
-            spec, stacked, batch, quiz, payload, config.eta_c, study_grad=g
+            spec,
+            stacked,
+            batch,
+            quiz,
+            payload,
+            config.eta_c,
+            study_grad=g,
+            study_layers=study_layers,
         )
         if config.noise_s > 0 and config.noise_p > 0:
             uploads = [

@@ -82,12 +82,17 @@ class GuidanceGradient:
         self.present = np.asarray(self.present, dtype=bool)
         if self.per_class.ndim != 2 or self.present.shape != (self.per_class.shape[0],):
             raise ContractViolation("GuidanceGradient shape mismatch")
-        if np.any(self.per_class[~self.present] != 0.0):
-            raise ContractViolation("absent classes must carry exactly-zero rows")
+        _check_absent_rows(self.per_class, self.present)
 
     @property
     def uploaded_rows(self) -> int:
         return int(self.present.sum())
+
+
+def _check_absent_rows(per_class: np.ndarray, present: np.ndarray):
+    """Rows (..., C, M) of the classes not ``present`` (..., C) must be zero."""
+    if np.any(per_class[~present] != 0.0):
+        raise ContractViolation("absent classes must carry exactly-zero rows")
 
 
 def guided_loss_config(gset: GuidingVectorSet | None) -> LossConfig:
@@ -147,6 +152,7 @@ def guidance_gradient(
     gset: GuidingVectorSet,
     eta_c: float,
     study_grad: np.ndarray | None = None,
+    study_layers: list | None = None,
 ) -> GuidanceGradient | list[GuidanceGradient]:
     """Exact gradient of the mean quiz ce after pseudo-train w.r.t. each v^y.
 
@@ -155,13 +161,17 @@ def guidance_gradient(
     guided map's Jacobians at the pre-step parameters, one JVP per study-batch
     sample, summed per class. Classes absent from the study batch have no
     dependence path and get zero rows. ``study_grad`` is passed on to
-    ``pseudo_train``. Given a stack of k clients (stacked params, study
+    ``pseudo_train``, and ``study_layers`` (the layer outputs of
+    ``study_grad``'s forward pass, from ``grad_params(..., layers_out=)``)
+    to the JVP. Given a stack of k clients (stacked params, study
     batches and quizzes), returns the list of their k gradients.
     """
     theta_prime = pseudo_train(spec, params, study_batch, gset, eta_c, study_grad)
     quiz_direction = grad_params(spec, theta_prime, quiz, LossConfig(use_ce=True))
 
-    jvps = jvp_guided_batch(spec, params, study_batch.inputs, quiz_direction, gset.space)
+    jvps = jvp_guided_batch(
+        spec, params, study_batch.inputs, quiz_direction, gset.space, layers=study_layers
+    )
     labels = study_batch.labels
     scale = 2.0 * eta_c / (gset.dim * labels.shape[-1])
     if labels.ndim == 1:
@@ -176,7 +186,8 @@ def _sum_per_class(
     times ``scale``: one scatter for the whole stack. ``np.add.at`` adds the
     rows of a class in index order, the order a sum over the selected rows
     takes, so the bits equal that sum's, except that a class whose rows are
-    all -0.0 sums to +0.0 here."""
+    all -0.0 sums to +0.0 here. The absent rows of the whole stack are
+    checked once, so each member's gradient is built unchecked."""
     k = labels.shape[0]
     rows = (np.arange(k)[:, None], labels)
     per_class = np.zeros((k, *gset.vectors.shape))
@@ -184,7 +195,13 @@ def _sum_per_class(
     per_class *= scale
     present = np.zeros((k, gset.class_count), dtype=bool)
     present[rows] = True
-    return [GuidanceGradient(g, p) for g, p in zip(per_class, present)]
+    _check_absent_rows(per_class, present)
+    grads = []
+    for g, p in zip(per_class, present):
+        grad = object.__new__(GuidanceGradient)
+        grad.per_class, grad.present = g, p
+        grads.append(grad)
+    return grads
 
 
 def server_update(

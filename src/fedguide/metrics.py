@@ -10,7 +10,8 @@ import numpy as np
 
 from .data import ClientDataset, Dataset
 from .errors import ContractViolation
-from .nn import LossConfig, MiniBatch, ModelParams, ModelSpec, forward_batch, total_loss
+from . import nn
+from .nn import ModelParams, ModelSpec, forward_batch
 
 BYTES_PER_VALUE = 4  # transmitted reals and class indices priced as float32/int32
 
@@ -51,10 +52,15 @@ def study_cross_entropy(
     study: Dataset,
     outputs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
-    """Mean cross-entropy of a client model over its study set; ``outputs``
-    as in ``total_loss``."""
-    batch = MiniBatch(study.inputs, study.labels)
-    return total_loss(spec, params, batch, LossConfig(use_ce=True), outputs)
+    """Mean cross-entropy of a client model over its study set; ``outputs``,
+    when given, are ``forward_batch(spec, params, study.inputs)`` already
+    computed by the caller, used as is."""
+    if len(study) == 0:
+        raise ContractViolation("study set is empty")
+    nn._check_labels(study.labels, spec.class_count)
+    if outputs is None:
+        outputs = nn.forward_batch(spec, params, study.inputs)
+    return float(nn._ce_rows(outputs[1], study.labels).mean())
 
 
 def score_client(

@@ -14,14 +14,15 @@ The forward pass is written once (``_forward``). The three kernels all use
 first-order derivatives only, so each runs that same pass: ``forward_batch``
 returns its last two outputs, ``grad_params`` back-propagates through every
 layer's output, and ``jvp_guided_batch`` pushes tangents through it, taking
-each activation's derivative from the layer's output.
+each activation's derivative from the layer's output. A JVP at the params and
+inputs of a gradient call takes that call's pass instead of running its own.
 
 All functions here are pure: they never mutate their inputs and write only
-into an ``out`` ModelParams the caller passes in. The block views of a
-``ModelParams`` are built on its first use and cached on the object; it is
-frozen, so they always address its own ``flat``. A gradient buffer is a
-``ModelParams`` too, so its block views are bound once and reused by every
-call that writes into it.
+into an ``out`` ModelParams or ``layers_out`` list the caller passes in. The
+block views of a ``ModelParams`` are built on its first use and cached on
+the object; it is frozen, so they always address its own ``flat``. A
+gradient buffer is a ``ModelParams`` too, so its block views are bound once
+and reused by every call that writes into it.
 
 The gradient kernels are rank-polymorphic: given a stack of k clients of one
 architecture (``params.flat`` (k, P), inputs (k, n, d), labels (k, n)) they
@@ -34,6 +35,7 @@ result can depend on the row count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -121,7 +123,9 @@ class ModelParams:
         """(W, W^T, b, b as a row) views of every affine block of ``flat``,
         built once per object (see _bound_views)."""
         views = self._views
-        if views is None or views[0] != spec:
+        # Identity first: the spec objects of a run are shared, and the
+        # dataclass __eq__ is slow.
+        if views is None or (views[0] is not spec and views[0] != spec):
             views = (spec, _bound_views(spec, self.flat))
             object.__setattr__(self, "_views", views)
         return views[1]
@@ -187,6 +191,9 @@ class MiniBatch:
 
     inputs: np.ndarray  # (n, input_dim), or (k, n, input_dim) stacked
     labels: np.ndarray  # (n,) ints, or (k, n) stacked
+    # Set only on a batch cut from an epoch layout (see _layout_batch): its
+    # _output_terms, derived and checked once for the whole epoch.
+    _terms: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -205,12 +212,14 @@ class MiniBatch:
         return self.inputs.shape[0]
 
 
-def _layout_batch(inputs: np.ndarray, labels: np.ndarray) -> MiniBatch:
-    """A MiniBatch cut from an epoch layout, whose dtypes and shapes hold by
-    construction, so the __post_init__ checks are skipped; grad_params still
-    checks labels and shapes on every call."""
+def _layout_batch(layout: tuple, s: int, active: int) -> MiniBatch:
+    """Step s's batch of the first ``active`` clients, cut from an epoch
+    layout (xs, ys, terms) that run_sgd_epoch checked as a whole, so neither
+    __post_init__ nor grad_params checks it again."""
+    xs, ys, terms = layout
     batch = object.__new__(MiniBatch)
-    batch.inputs, batch.labels = inputs, labels
+    batch.inputs, batch.labels = xs[s, :active], ys[s, :active]
+    batch._terms = tuple(t if t is None else t[s, :active] for t in terms)
     return batch
 
 
@@ -316,6 +325,29 @@ def total_loss(
     return loss
 
 
+def _output_terms(
+    spec: ModelSpec, cfg: LossConfig, labels: np.ndarray, call_shape: tuple[int, ...]
+) -> tuple[np.ndarray | None, ...]:
+    """What grad_params' output-side gradient reads of the labels: the flat
+    positions of the ce one-hot in a call's (..., n, C) logits, each sample's
+    guide target, and its guide_valid entry as a (..., n, 1) column; None for
+    a term ``cfg`` lacks. ``labels`` holds one call's labels, of
+    ``call_shape``, or many calls' stacked on leading axes."""
+    hot = targets = valid = None
+    if cfg.use_ce:
+        hot = labels + spec.class_count * np.arange(math.prod(call_shape)).reshape(call_shape)
+    if cfg.guide_vectors is not None:
+        targets = cfg.guide_vectors[labels]
+        dim = spec.class_count if cfg.guide_space == "logit" else spec.feature_dim
+        if targets.shape[-1] != dim:
+            raise ContractViolation(
+                f"guide vectors have dim {targets.shape[-1]}, guided output {dim}"
+            )
+        if cfg.guide_valid is not None:
+            valid = cfg.guide_valid[labels][..., None]
+    return hot, targets, valid
+
+
 def _check_stack(params: ModelParams, x: np.ndarray, spec: ModelSpec, what: str):
     """Inputs must be (n, d) for one client or (k, n, d) for a stack of k."""
     lead = params.flat.shape[:-1]
@@ -330,6 +362,7 @@ def grad_params(
     batch: MiniBatch,
     cfg: LossConfig,
     out: ModelParams | None = None,
+    layers_out: list | None = None,
 ) -> np.ndarray:
     """Exact reverse-mode gradient of the mean combined loss over the batch.
 
@@ -338,45 +371,56 @@ def grad_params(
     ``out``, when given, is a ModelParams whose float64 ``flat`` is shaped
     like ``params.flat`` and does not overlap it; the gradient is written
     through its cached block views and ``out.flat`` is returned.
+    ``layers_out``, when given, is a list that receives the forward pass's
+    layer outputs except the logits (as _forward returns them, the last
+    entry dropped), for a jvp_guided_batch at the same params and inputs.
+
+    A batch cut from run_sgd_epoch's layout carries its labels' terms, and
+    was checked with the rest of the epoch; any other batch is checked here.
     """
-    _check_labels(batch.labels, spec.class_count)
     x = batch.inputs
-    _check_stack(params, x, spec, "batch inputs")
+    terms = batch._terms
+    if terms is None:
+        _check_labels(batch.labels, spec.class_count)
+        _check_stack(params, x, spec, "batch inputs")
+        if out is not None and (
+            out.flat.shape != params.flat.shape or out.flat.dtype != np.float64
+        ):
+            raise ContractViolation(
+                f"out is {out.flat.dtype} {out.flat.shape}, expected float64 {params.flat.shape}"
+            )
+        terms = _output_terms(spec, cfg, batch.labels, batch.labels.shape)
+    hot, targets, valid = terms
     if out is None:
         out = ModelParams(np.empty_like(params.flat))
-    elif out.flat.shape != params.flat.shape or out.flat.dtype != np.float64:
-        raise ContractViolation(
-            f"out is {out.flat.dtype} {out.flat.shape}, expected float64 {params.flat.shape}"
-        )
     n = batch.labels.shape[-1]
     blocks = params.blocks(spec)
     depth = spec.depth
     relu = spec.activation == "relu"
     layer_inputs = _forward(spec, params, x)  # entry l is the input to block l
     features, logits = layer_inputs[depth + 1], layer_inputs[depth + 2]
+    if layers_out is not None:
+        layers_out[:] = layer_inputs[: depth + 2]  # the softmax overwrites the logits
 
-    # Output-side gradients of the mean loss.
+    # Output-side gradients of the mean loss. The guide term reads the
+    # logits before the softmax is written over them.
+    d_guided = None
+    if targets is not None:
+        d_guided = (logits if cfg.guide_space == "logit" else features) - targets
+        d_guided *= 2.0 / (d_guided.shape[-1] * n)
+        if valid is not None:
+            d_guided *= valid
     if cfg.use_ce:
-        d_logits = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+        d_logits = logits  # fresh from _forward, so the softmax goes in place
+        d_logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
         np.exp(d_logits, out=d_logits)
-        d_logits /= np.add.reduce(d_logits, axis=-1, keepdims=True)  # softmax
-        rows = d_logits.reshape(-1, d_logits.shape[-1])  # a view: d_logits is fresh
-        rows[np.arange(rows.shape[0]), batch.labels.reshape(-1)] -= 1.0
+        d_logits /= np.add.reduce(d_logits, axis=-1, keepdims=True)
+        d_logits.reshape(-1)[hot] -= 1.0  # a view: d_logits is contiguous
         d_logits /= n
     else:
         d_logits = np.zeros_like(logits)
     d_features_direct = None
-    if cfg.guide_vectors is not None:
-        guided = logits if cfg.guide_space == "logit" else features
-        d_guided = cfg.guide_vectors[batch.labels]  # the targets, then overwritten
-        if guided.shape[-1] != d_guided.shape[-1]:
-            raise ContractViolation(
-                f"guide vectors have dim {d_guided.shape[-1]}, guided output {guided.shape[-1]}"
-            )
-        np.subtract(guided, d_guided, out=d_guided)
-        d_guided *= 2.0 / (d_guided.shape[-1] * n)
-        if cfg.guide_valid is not None:
-            d_guided *= cfg.guide_valid[batch.labels][..., None]
+    if d_guided is not None:
         if cfg.guide_space == "logit":
             d_logits += d_guided
         else:
@@ -422,6 +466,7 @@ def jvp_guided_batch(
     inputs: np.ndarray,
     direction: np.ndarray,
     space: str,
+    layers: list | None = None,
 ) -> np.ndarray:
     """Per-sample directional derivative of the guided map along ``direction``.
 
@@ -432,6 +477,9 @@ def jvp_guided_batch(
     Head coordinates of ``direction`` are never read in feature space. For a
     stack of k clients, ``direction`` is (k, P), ``inputs`` (k, n, d), and the
     result (k, n, M).
+    ``layers``, when given, are the layer outputs of a forward pass of
+    ``params`` over these very ``inputs``, as ``grad_params(...,
+    layers_out=)`` hands them out; they are used as is.
     """
     if space not in SPACES:
         raise ContractViolation(f"unknown guide space {space!r}")
@@ -442,7 +490,10 @@ def jvp_guided_batch(
         )
     x = np.asarray(inputs, dtype=np.float64)
     _check_stack(params, x, spec, "inputs")
-    layers = _forward(spec, params, x)
+    if layers is None:
+        layers = _forward(spec, params, x)
+    elif layers[0] is not x:
+        raise ContractViolation("layers come from a forward pass over other inputs")
     relu = spec.activation == "relu"
     blocks = params.blocks(spec)
     if space == "feature":
@@ -503,16 +554,27 @@ def run_sgd_epoch(
                 f"{j} takes {steps[j]} steps after client {j - 1}'s {steps[j - 1]}"
             )
     stepping = sum(n > 0 for n in steps)  # a prefix of the clients
+    for j in range(stepping):
+        if inputs[j].ndim != 2 or inputs[j].shape[1] != spec.input_dim:
+            raise ContractViolation(
+                f"client {j}'s inputs have shape {inputs[j].shape}, "
+                f"spec expects (*, {spec.input_dim})"
+            )
     out = list(params)
-    # Every stepping client's batches in step order, laid out once: xs[j, s]
-    # is the batch of client j at step s (entries past its last step unused).
-    shape = (stepping, steps[0], batch_size)
-    xs = np.zeros(shape + inputs[0].shape[1:])
+    # Every stepping client's batches laid out once, step-major: xs[s, j] is
+    # client j's batch at step s, so the clients still stepping at step s
+    # are the contiguous xs[s, :active] (entries past a client's last step
+    # are never read). The labels are checked, and the terms grad_params
+    # derives from them computed, once for the whole epoch.
+    shape = (steps[0], stepping, batch_size)
+    xs = np.empty(shape + (spec.input_dim,))
     ys = np.zeros(shape, dtype=np.int64)
     for j in range(stepping):
         used = rngs[j].permutation(inputs[j].shape[0])[: steps[j] * batch_size]
-        xs[j, : steps[j]] = inputs[j][used].reshape(steps[j], batch_size, -1)
-        ys[j, : steps[j]] = labels[j][used].reshape(steps[j], batch_size)
+        xs[: steps[j], j] = inputs[j][used].reshape(steps[j], batch_size, -1)
+        ys[: steps[j], j] = labels[j][used].reshape(steps[j], batch_size)
+    _check_labels(ys, spec.class_count)
+    layout = (xs, ys, _output_terms(spec, cfg, ys, shape[1:]))
     stacked = stack_params(params)
     flat = stacked.flat
     grad = np.empty((stepping, flat.shape[1]))  # one gradient buffer for the epoch
@@ -524,8 +586,7 @@ def run_sgd_epoch(
             active = sum(n > s for n in steps)
             theta, g = flat[:active], grad[:active]
             prefix, g_prefix = ModelParams(theta), ModelParams(g)
-        batch = _layout_batch(xs[:active, s], ys[:active, s])
-        grad_params(spec, prefix, batch, cfg, out=g_prefix)
+        grad_params(spec, prefix, _layout_batch(layout, s, active), cfg, out=g_prefix)
         g *= eta_c
         theta -= g
     for j in range(stepping):

@@ -394,3 +394,41 @@ def test_unreadable_data_file_fails_the_run_with_a_marker(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(missing) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "file"])
+@pytest.mark.parametrize("seeds", ["-1", "1,-2"])
+def test_negative_seed_rejected_before_any_output(source, seeds, tmp_path, monkeypatch, capsys):
+    with pytest.raises(ConfigError, match="^seed: must be >= 0"):
+        _parse_from(source, {"seed": seeds}, tmp_path, monkeypatch)
+    out = tmp_path / "out"
+    argv = {"flag": ["--seed=" + seeds], "env": [],
+            "file": ["--config", str(tmp_path / "cfg.json")]}[source]
+    run = ["run", *argv, "--rounds", "3", "--warmup", "1", "--clients", "4", "--out", str(out)]
+    assert main(run) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: seed: ")
+    with pytest.raises(ConfigError, match="^seed: "):
+        RunConfig(seed=-1).validate()
+
+
+# Float options whose range checks a nan passes: (key, raw value with {} for
+# the non-finite number, the field named in the error).
+NON_FINITE_CASES = [
+    ("eta_c", "{}", "eta_c"),
+    ("eta_s", "{}", "eta_s"),
+    ("eta_s_scale", "{}", "eta_s_scale"),
+    ("noise", "{}:0.2", "noise_s"),
+    ("partition", "dirichlet:{}", "beta"),
+    ("cluster_spread", "{}", "cluster_spread"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "file"])
+@pytest.mark.parametrize("number", ["nan", "inf"])
+@pytest.mark.parametrize("key,raw,field", NON_FINITE_CASES)
+def test_non_finite_float_options_are_rejected(
+    source, number, key, raw, field, tmp_path, monkeypatch
+):
+    with pytest.raises(ConfigError, match=f"^{field}: must be finite"):
+        _parse_from(source, {key: raw.format(number)}, tmp_path, monkeypatch)

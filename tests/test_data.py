@@ -4,7 +4,7 @@ partitioners, and client splits."""
 import numpy as np
 import pytest
 
-from fedguide import data, federation, rng
+from fedguide import data, federation, nn, rng
 from fedguide.errors import ContractViolation, DataFormatError, PartitionError
 from fedguide.federation import RunConfig
 
@@ -90,7 +90,7 @@ def test_dirichlet_conserves_samples():
     # per-class counts conserved exactly
     for y in range(ds.class_count):
         assert (ds.labels == y).sum() == sum(
-            (ds.labels[plan.client_indices(i)] == y).sum() for i in range(3)
+            (ds.labels[shard] == y).sum() for shard in plan.shards()
         )
 
 
@@ -108,9 +108,9 @@ def test_dirichlet_huge_beta_near_uniform(seed):
     n_clients = 4
     plan = data.partition_dirichlet(ds, n_clients, 1e6, seed=seed, min_per_client=10)
     for y in range(4):
-        labels = ds.labels[np.concatenate([plan.client_indices(i) for i in range(n_clients)])]
-        for i in range(n_clients):
-            count = (ds.labels[plan.client_indices(i)] == y).sum()
+        labels = ds.labels[np.concatenate(plan.shards())]
+        for shard in plan.shards():
+            count = (ds.labels[shard] == y).sum()
             share = count / (ds.labels == y).sum()
             assert abs(share - 1 / n_clients) <= 0.2 / n_clients
 
@@ -168,8 +168,8 @@ def test_pathological_class_inventories():
     ds = small_pool(c=4)
     plan = data.partition_pathological(ds, 2, 2, seed=3, min_per_client=10)
     seen = set()
-    for i in range(2):
-        inventory = set(ds.labels[plan.client_indices(i)].tolist())
+    for shard in plan.shards():
+        inventory = set(ds.labels[shard].tolist())
         assert len(inventory) == 2
         seen |= inventory
     assert seen == {0, 1, 2, 3}
@@ -178,14 +178,14 @@ def test_pathological_class_inventories():
 def test_pathological_full_inventory_degenerate():
     ds = small_pool(c=3)
     plan = data.partition_pathological(ds, 3, 3, seed=5, min_per_client=10)
-    for i in range(3):
-        assert set(ds.labels[plan.client_indices(i)].tolist()) == {0, 1, 2}
+    for shard in plan.shards():
+        assert set(ds.labels[shard].tolist()) == {0, 1, 2}
 
 
 def test_pathological_partition_property():
     ds = small_pool(c=5, n_per=40)
     plan = data.partition_pathological(ds, 4, 3, seed=7, min_per_client=10)
-    all_idx = np.concatenate([plan.client_indices(i) for i in range(4)])
+    all_idx = np.concatenate(plan.shards())
     assert sorted(all_idx.tolist()) == list(range(len(ds)))  # union, no duplicates
 
 
@@ -380,3 +380,58 @@ def test_partitioners_equal_the_reference_loops_bitwise(shape):
         plan = data.partition_pathological(ds, n_clients, 2, seed, 20)
         assert plan.assignment.tobytes() == expected.tobytes()
     assert failures <= 1  # paper seed 5 exhausts 100 redraws
+
+
+def _reference_split(ds_i, test_fraction, quiz_size, seed, client_index):
+    """split_client as first written: np.unique counts, a per-class mask
+    loop for the quiz and np.setdiff1d for the study set."""
+    gen = rng.stream(seed, rng.SPLIT, client_index)
+    perm = gen.permutation(len(ds_i))
+    test_n = max(1, int(len(ds_i) * test_fraction))
+    test_idx, train_idx = perm[:test_n], perm[test_n:]
+    train_labels = ds_i.labels[train_idx]
+    classes, class_counts = np.unique(train_labels, return_counts=True)
+    quotas = data._largest_remainder(class_counts / class_counts.sum(), quiz_size)
+    quiz_idx = np.concatenate(
+        [train_idx[train_labels == y][:q] for y, q in zip(classes, quotas)]
+    )
+    study_idx = np.setdiff1d(train_idx, quiz_idx)
+    study = ds_i.subset(study_idx)
+    inventory = tuple(int(y) for y in np.unique(study.labels))
+    return study, ds_i.subset(quiz_idx), ds_i.subset(test_idx), inventory
+
+
+# The two task shapes of the benchmark's workloads: the paper task, and
+# wide-l's 100 clients with two classes each.
+SPLIT_SHAPES = {
+    "paper": dict(n_clients=20),
+    "wide-l": dict(
+        n_clients=100,
+        task=federation.TaskConfig(
+            partition="pathological", classes_per_client=2, samples_per_class=2000
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", SPLIT_SHAPES)
+def test_client_shards_and_splits_equal_the_reference_bitwise(shape):
+    for seed in range(1, 51):
+        config = RunConfig(seed=seed, **SPLIT_SHAPES[shape])
+        clients = federation.build_clients(config)
+        ds = federation.build_dataset(config)
+        task = config.task
+        if task.partition == "dirichlet":
+            plan = data.partition_dirichlet(ds, config.n_clients, task.beta, seed, 20)
+        else:
+            plan = data.partition_pathological(ds, config.n_clients, 2, seed, 20)
+        for i, client in enumerate(clients):
+            shard = ds.subset(np.nonzero(plan.assignment == i)[0])
+            study, quiz, test, inventory = _reference_split(shard, 0.25, 10, seed, i)
+            got = client.data
+            for part, expected in [(got.study, study), (got.quiz, quiz), (got.test, test)]:
+                assert part.inputs.tobytes() == expected.inputs.tobytes(), (seed, i)
+                assert part.labels.tobytes() == expected.labels.tobytes(), (seed, i)
+            assert got.label_inventory == inventory, (seed, i)
+            expected_params = nn.init_params(client.spec, rng.stream(seed, rng.MODEL_INIT, i))
+            assert client.params.flat.tobytes() == expected_params.flat.tobytes()

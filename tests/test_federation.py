@@ -363,3 +363,27 @@ def test_eta_s_defaults_by_space():
     assert small_config("fedl2g-f").eta_s_effective == pytest.approx(100.0)
     assert small_config("fedl2g-f", eta_s_scale=0.5).eta_s_effective == pytest.approx(50.0)
     assert small_config("fedl2g-f", eta_s=7.0, eta_s_scale=0.5).eta_s_effective == 7.0
+
+
+@pytest.mark.parametrize("method", ["fedl2g-l", "fedl2g-f"])
+def test_guided_group_round_runs_no_duplicate_forward_pass(monkeypatch, method):
+    cfg = small_config(method, warmup=1)
+    clients = build_clients(cfg)
+    payload = build_server(cfg).payload
+    members = [c for c in clients if c.spec == clients[0].spec]
+    assert len(members) == 2 and all(len(c.data.study) >= cfg.batch_size for c in members)
+    passes = []
+    original = nn._forward
+
+    def counting(spec, params, x):
+        passes.append(x.shape)
+        return original(spec, params, x)
+
+    monkeypatch.setattr(nn, "_forward", counting)
+    steps = max(len(c.data.study) for c in members) // cfg.batch_size
+    for round_index, epoch_steps in [(1, 0), (2, steps)]:  # a warm-up round, then one that trains
+        passes.clear()
+        federation._group_work(cfg, payload, members, round_index)
+        # One pass per epoch step, the study gradient's (which the guidance
+        # JVP reuses) and the quiz gradient's.
+        assert len(passes) == epoch_steps + 2

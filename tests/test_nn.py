@@ -565,3 +565,87 @@ def test_jvp_equals_the_reference_bitwise(variant, activation, space, k, directi
         params, inputs, directions = clients[0], inputs[0], directions[0]
     got = nn.jvp_guided_batch(spec, params, inputs, directions, space)
     assert got.tobytes() == _jvp_reference(spec, params, inputs, directions, space).tobytes()
+
+
+def _epoch_through_checked_calls(spec, params, inputs, labels, cfg, eta_c, batch_size, rngs):
+    """Reference lockstep epoch: at every step, the clients still stepping
+    take one allocating grad_params call on a freshly built, fully checked
+    stacked MiniBatch."""
+    steps = [x.shape[0] // batch_size for x in inputs]
+    flat = nn.stack_params(params).flat
+    perms = [rng.permutation(x.shape[0]) for rng, x, n in zip(rngs, inputs, steps) if n]
+    for s in range(steps[0]):
+        active = sum(n > s for n in steps)
+        idx = [perm[s * batch_size : (s + 1) * batch_size] for perm in perms[:active]]
+        batch = MiniBatch(
+            np.stack([inputs[j][i] for j, i in enumerate(idx)]),
+            np.stack([labels[j][i] for j, i in enumerate(idx)]),
+        )
+        g = nn.grad_params(spec, ModelParams(flat[:active].copy()), batch, cfg)
+        flat[:active] -= eta_c * g
+    return flat
+
+
+@pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+@pytest.mark.parametrize("mode", ["ce", "feature", "logit", "masked"])
+def test_prepared_epoch_equals_freshly_checked_calls_bitwise(mode, activation):
+    spec = nn.family_spec(4, 8, 6, 5, activation)
+    rng = stream(9, 12)
+    cfg = _guide_config(mode, spec, rng)
+    sizes = [70, 45, 35, 13, 5]  # 7, 4, 3, 1 and 0 steps of 10: the prefix shrinks
+    params = [nn.init_params(spec, stream(9, 3, j)) for j in range(len(sizes))]
+    inputs = [rng.standard_normal((n, 8)) for n in sizes]
+    labels = [rng.integers(0, 5, n) for n in sizes]
+    _, stacked = nn.run_sgd_epoch(
+        spec, params, inputs, labels, cfg, 0.05, 10, [stream(9, 6, j) for j in range(5)]
+    )
+    expected = _epoch_through_checked_calls(
+        spec, params, inputs, labels, cfg, 0.05, 10, [stream(9, 6, j) for j in range(5)]
+    )
+    assert stacked.flat.tobytes() == expected.tobytes()
+
+
+def test_epoch_rejects_bad_labels_and_inputs_before_its_first_step(monkeypatch):
+    spec = nn.family_spec(0, 8, 6, 4)
+    rng = stream(10, 12)
+    params = [nn.init_params(spec, stream(10, 3, j)) for j in range(2)]
+    inputs = [rng.standard_normal((40, 8)), rng.standard_normal((20, 8))]
+    labels = [rng.integers(0, 4, 40), rng.integers(0, 4, 20)]
+    calls = []
+    original = nn.grad_params
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nn, "grad_params", recording)
+    rngs = [stream(10, 6, j) for j in range(2)]
+    bad_labels = [labels[0], np.where(np.arange(20) == 19, 4, labels[1])]
+    with pytest.raises(ContractViolation, match=r"labels out of range \[0, 4\)"):
+        nn.run_sgd_epoch(spec, params, inputs, bad_labels, LossConfig(), 0.05, 10, rngs)
+    bad_inputs = [inputs[0], rng.standard_normal((20, 7))]
+    with pytest.raises(ContractViolation, match=r"client 1's inputs have shape \(20, 7\)"):
+        nn.run_sgd_epoch(spec, params, bad_inputs, labels, LossConfig(), 0.05, 10, rngs)
+    assert calls == []
+    nn.run_sgd_epoch(spec, params, inputs, labels, LossConfig(), 0.05, 10, rngs)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+@pytest.mark.parametrize("space", nn.SPACES)
+def test_jvp_given_the_gradient_forward_equals_its_own_forward(space, activation):
+    spec = nn.family_spec(4, 32, 32, 10, activation)
+    rng = stream(15, 1)
+    params = nn.stack_params([nn.init_params(spec, stream(15, 3, j)) for j in range(3)])
+    batch = MiniBatch(rng.standard_normal((3, 10, 32)), rng.integers(0, 10, (3, 10)))
+    cfg = _guide_config(space, spec, rng)
+    layers = []
+    g = nn.grad_params(spec, params, batch, cfg, layers_out=layers)
+    assert g.tobytes() == nn.grad_params(spec, params, batch, cfg).tobytes()
+    assert len(layers) == spec.depth + 2 and layers[0] is batch.inputs  # no logits
+    direction = rng.standard_normal(params.flat.shape)
+    own = nn.jvp_guided_batch(spec, params, batch.inputs, direction, space)
+    given = nn.jvp_guided_batch(spec, params, batch.inputs, direction, space, layers=layers)
+    assert given.tobytes() == own.tobytes()
+    with pytest.raises(ContractViolation, match="other inputs"):
+        nn.jvp_guided_batch(spec, params, batch.inputs.copy(), direction, space, layers=layers)
