@@ -9,7 +9,10 @@ order at the end of the round.
 
 Participants sharing an architecture and a study-batch size step together:
 each kernel call of a round covers the whole group as one stack, and every
-client's result equals, bit for bit, what it would compute alone.
+client's result equals, bit for bit, what it would compute alone. The
+clients of one architecture keep their parameters as the rows of one array,
+in the order a lockstep epoch steps them, and each group's fixed structure
+is a plan built once and reused while its members stay the same.
 """
 
 from __future__ import annotations
@@ -64,10 +67,8 @@ from .nn import (
     grad_params,
     init_params,
     param_count,
-    params_from_flat,
     run_sgd_epoch,
     stack_batches,
-    stack_params,
 )
 
 METHODS = ("fedl2g-l", "fedl2g-f", "fedproto", "feddistill", "local-only")
@@ -232,12 +233,18 @@ def task_digest(config: RunConfig) -> str:
 @dataclass
 class ClientState:
     """One client's fixed architecture, current parameters, and local data,
-    plus its last evaluation score (reused while ``params`` is unchanged)."""
+    plus its last evaluation score (None once its parameters change).
+
+    ``params`` is a view of row ``row`` of ``rows``, the (n_v, P) array that
+    holds every client of this spec, bound once for the run.
+    """
 
     index: int
     spec: ModelSpec
     params: ModelParams
     data: ClientDataset
+    rows: np.ndarray
+    row: int
     score: ClientScore | None = None
 
 
@@ -279,15 +286,26 @@ def build_clients(config: RunConfig) -> list[ClientState]:
         plan = partition_pathological(
             ds, config.n_clients, task.classes_per_client, config.seed, min_per_client
         )
-    clients = []
+    data, specs = [], {}
     for i, shard_idx in enumerate(plan.shards()):
         shard = ds.subset(shard_idx)
-        data = split_client(shard, task.test_fraction, config.quiz_size, config.seed, i)
+        data.append(split_client(shard, task.test_fraction, config.quiz_size, config.seed, i))
         spec = family_spec(
             i, task.input_dim, config.feature_dim, task.class_count, config.activation
         )
-        params = init_params(spec, rngmod.stream(config.seed, rngmod.MODEL_INIT, i))
-        clients.append(ClientState(i, spec, params, data))
+        specs.setdefault(spec, []).append(i)  # one spec object per architecture
+    # One parameter array per spec, its rows in the order a lockstep epoch
+    # steps them (most steps first, then by client index), so that with
+    # rho = 1 a group's rows are one contiguous slice. Each client's
+    # parameters are drawn straight into its row.
+    clients: list[ClientState | None] = [None] * len(data)
+    for spec, members in specs.items():
+        members.sort(key=lambda i: (-(len(data[i].study) // config.batch_size), i))
+        rows = np.empty((len(members), param_count(spec)))
+        for r, i in enumerate(members):
+            gen = rngmod.stream(config.seed, rngmod.MODEL_INIT, i)
+            params = init_params(spec, gen, out=rows[r])
+            clients[i] = ClientState(i, spec, params, data[i], rows, r)
     return clients
 
 
@@ -306,16 +324,18 @@ def build_server(config: RunConfig) -> ServerState:
 
 def sample_participants(server: ServerState, n_clients: int, rho: float) -> list[int]:
     """Uniform subset of size round(rho * N), at least 1, for the coming round."""
-    k = min(n_clients, max(1, int(round(rho * n_clients))))
     gen = rngmod.stream(server.seed, rngmod.PARTICIPATION, server.t + 1)
-    chosen = gen.choice(n_clients, size=k, replace=False)
+    chosen = gen.choice(n_clients, size=_participant_count(n_clients, rho), replace=False)
     return sorted(int(i) for i in chosen)
+
+
+def _participant_count(n_clients: int, rho: float) -> int:
+    return min(n_clients, max(1, int(round(rho * n_clients))))
 
 
 @dataclass
 class _ClientResult:
     index: int
-    params: ModelParams
     upload: GuidanceGradient | tuple[np.ndarray, np.ndarray] | None
     grad_norm_sq: float
     # The new params' study ce, when the round's own study forward gave it.
@@ -343,62 +363,164 @@ def _check_stackable(members: list[ClientState], round_index: int):
                 )
 
 
+class _Scratch:
+    """The run's buffers for the (k, P) arrays a group needs only while its
+    round runs, one per region: 0, the gathered stack of a group whose rows
+    are not contiguous; 1, the gradient (the epoch's, then the telemetry
+    one, then the pseudo-trained parameters stepped from it); 2, the quiz
+    gradient. Groups run one after another, so every plan binds its views
+    into the same buffers and memory does not grow with the number of
+    groups. A buffer is allocated when a plan first needs its region."""
+
+    def __init__(self, clients: list[ClientState], config: RunConfig):
+        k = _participant_count(len(clients), config.rho)  # the largest group
+        self.size = max(min(c.rows.shape[0], k) * c.rows.shape[1] for c in clients)
+        self.buffers: list[np.ndarray | None] = [None] * 3
+
+    def view(self, region: int, k: int, p: int) -> ModelParams:
+        if self.buffers[region] is None:
+            self.buffers[region] = np.empty(self.size)
+        return ModelParams(self.buffers[region][: k * p].reshape(k, p))
+
+
+class _GroupPlan:
+    """What one group keeps across rounds while its members stay the same:
+    the members in epoch order, their rows, the stacked quiz, the
+    telemetry-batch buffers, and scratch views, each bound once.
+
+    When the members' rows of their spec's array are consecutive, as the
+    rows of every client with a full study batch are at rho = 1, the group
+    steps that slice in place. Otherwise the rows are gathered into scratch
+    each round and written back with one scatter after the epoch.
+    """
+
+    def __init__(
+        self, config: RunConfig, members: list[ClientState], scratch: _Scratch, round_index: int
+    ):
+        _check_stackable(members, round_index)
+        self.indices = [c.index for c in members]
+        members = sorted(members, key=lambda c: c.row)  # most epoch steps first
+        self.members = members
+        self.spec = spec = members[0].spec
+        k, p = len(members), param_count(spec)
+        self.rows = members[0].rows
+        first = members[0].row
+        if [c.row for c in members] == list(range(first, first + k)):
+            self.gather = None
+            self.stack = ModelParams(self.rows[first : first + k])
+        else:
+            self.gather = np.array([c.row for c in members])
+            self.stack = scratch.view(0, k, p)
+        self.grad = scratch.view(1, k, p)
+        self.direction = scratch.view(2, k, p) if config.method in GUIDED_METHODS else None
+        self.steps = [len(c.data.study) // config.batch_size for c in members]
+        self.study_inputs = [c.data.study.inputs for c in members]
+        self.study_labels = [c.data.study.labels for c in members]
+        n = min(config.batch_size, len(members[0].data.study))
+        self.batch = MiniBatch(np.empty((k, n, spec.input_dim)), np.zeros((k, n), np.int64))
+        self.quiz = None
+        if config.method in GUIDED_METHODS:
+            self.quiz = stack_batches([c.data.quiz for c in members])
+
+
+class RoundPlans:
+    """The group plans of one run and the scratch they share.
+
+    run_training makes one and drops it when it returns; run_round makes a
+    throwaway one when it is given none. Stacked calls need equal shapes, so
+    a group shares the spec and the row counts of the sampled study batch
+    and of the quiz; a study set smaller than batch_size gives a smaller
+    batch and its own group.
+    """
+
+    def __init__(self, clients: list[ClientState], config: RunConfig):
+        self.clients = clients
+        self.config = config
+        self.scratch = _Scratch(clients, config)
+        self._plans: dict[tuple, _GroupPlan] = {}
+        self._participants: list[int] | None = None
+        self._groups: list[_GroupPlan] = []
+
+    def groups(self, participants: list[int], round_index: int) -> list[_GroupPlan]:
+        """The plans of this round's groups: the last round's when the
+        participants are the same, otherwise each key's plan, rebuilt if
+        its members changed."""
+        if participants == self._participants:
+            return self._groups
+        config = self.config
+        grouped: dict[tuple, list[ClientState]] = {}
+        for i in participants:
+            c = self.clients[i]
+            key = (c.spec, min(config.batch_size, len(c.data.study)), len(c.data.quiz.labels))
+            grouped.setdefault(key, []).append(c)
+        plans = []
+        for key, members in grouped.items():
+            plan = self._plans.get(key)
+            if plan is None or plan.indices != [c.index for c in members]:
+                plan = self._plans[key] = _GroupPlan(config, members, self.scratch, round_index)
+            plans.append(plan)
+        self._participants, self._groups = participants, plans
+        return plans
+
+
 def _group_work(
     config: RunConfig,
     payload: GuidingVectorSet | PrototypeSet | None,
-    members: list[ClientState],
+    plan: _GroupPlan,
     round_index: int,
 ) -> list[_ClientResult]:
-    """All of one round's work for participants sharing a spec and a
-    study-batch size: local epoch, telemetry gradient and upload, each step
-    one stacked call over the group. Pure in its arguments."""
+    """All of one round's work for a group: local epoch, telemetry gradient
+    and upload, each step one stacked call over the group. Steps the
+    members' rows in place and drops the scores of those it stepped."""
     seed = config.seed
-    spec = members[0].spec
-    # Most epoch steps first, the order run_sgd_epoch requires; the stack it
-    # steps is then in member order and serves the calls below as is.
-    members = sorted(members, key=lambda c: -(len(c.data.study) // config.batch_size))
-    studies = [c.data.study for c in members]
+    spec, members, stack = plan.spec, plan.members, plan.stack
     loss_cfg = _loss_config(config, payload)
-    params = [c.params for c in members]
+    if plan.gather is not None:
+        np.take(plan.rows, plan.gather, axis=0, out=stack.flat)
     if config.method not in GUIDED_METHODS or round_index > config.warmup:
-        params, stacked = run_sgd_epoch(
+        run_sgd_epoch(
             spec,
-            params,
-            [s.inputs for s in studies],
-            [s.labels for s in studies],
+            stack,
+            plan.study_inputs,
+            plan.study_labels,
             loss_cfg,
             config.eta_c,
             config.batch_size,
             [rngmod.stream(seed, rngmod.EPOCH, c.index, round_index) for c in members],
+            grad=plan.grad,
         )
-    else:
-        stacked = stack_params(params)
+        if plan.gather is not None and plan.steps[0]:
+            plan.rows[plan.gather] = stack.flat
+        for c, steps in zip(members, plan.steps):
+            if steps:
+                c.score = None
     # Each member draws its study batch from its own BATCH stream; the rows
     # are gathered straight into the group's stacked batch.
-    n = min(config.batch_size, len(studies[0]))
-    inputs = np.empty((len(members), n, spec.input_dim))
-    labels = np.empty((len(members), n), dtype=np.int64)
-    for j, (c, s) in enumerate(zip(members, studies)):
+    batch = plan.batch
+    n = batch.labels.shape[1]
+    for j, c in enumerate(members):
+        s = c.data.study
         idx = rngmod.stream(seed, rngmod.BATCH, c.index, round_index).choice(
             len(s), size=n, replace=False
         )
-        inputs[j], labels[j] = s.inputs[idx], s.labels[idx]
-    batch = MiniBatch(inputs, labels)
+        batch.inputs[j], batch.labels[j] = s.inputs[idx], s.labels[idx]
     study_layers = []  # g's forward pass, which the guidance JVP reuses
-    g = grad_params(spec, stacked, batch, loss_cfg, layers_out=study_layers)
+    g = grad_params(spec, stack, batch, loss_cfg, out=plan.grad, layers_out=study_layers)
+    grad_norm_sq = [float(g_c @ g_c) for g_c in g]
 
     study_ce = [None] * len(members)
     if config.method in GUIDED_METHODS:
-        quiz = stack_batches([c.data.quiz for c in members])
+        # Pseudo-train writes theta' over g, which nothing reads afterwards.
         uploads = guidance_gradient(
             spec,
-            stacked,
+            stack,
             batch,
-            quiz,
+            plan.quiz,
             payload,
             config.eta_c,
             study_grad=g,
             study_layers=study_layers,
+            buffers=(plan.grad, plan.direction),
         )
         if config.noise_s > 0 and config.noise_p > 0:
             uploads = [
@@ -415,16 +537,17 @@ def _group_work(
         # ce at evaluation. Only the ce is kept: holding every participant's
         # outputs to the end of the round raises the run's peak memory.
         uploads = []
-        for j, (p, s) in enumerate(zip(params, studies)):
-            outputs = forward_batch(spec, p, s.inputs)
+        for j, c in enumerate(members):
+            s = c.data.study
+            outputs = forward_batch(spec, c.params, s.inputs)
             uploads.append(local_prototypes(s, outputs, config.space))
-            study_ce[j] = study_cross_entropy(spec, p, s, outputs)
+            study_ce[j] = study_cross_entropy(spec, c.params, s, outputs)
     else:  # local-only
         uploads = [None] * len(members)
 
     return [
-        _ClientResult(c.index, p, u, float(g_c @ g_c), ce)
-        for c, p, u, g_c, ce in zip(members, params, uploads, g, study_ce)
+        _ClientResult(c.index, u, norm, ce)
+        for c, u, norm, ce in zip(members, uploads, grad_norm_sq, study_ce)
     ]
 
 
@@ -433,78 +556,88 @@ def run_round(
     clients: list[ClientState],
     config: RunConfig,
     last: RoundMetrics | None = None,
+    plans: RoundPlans | None = None,
 ) -> tuple[ServerState, RoundMetrics]:
-    """Execute one communication round; mutates participants' params and
-    clients' evaluation scores in place.
+    """Execute one communication round; steps participants' parameter rows
+    and brings clients' evaluation scores up to date, in place.
 
     ``last`` is the previous round's metrics: a round that skips evaluation
-    (eval_every > 1) reports its accuracy and study ce again.
+    (eval_every > 1) reports its accuracy and study ce again. ``plans`` are
+    the run's group plans for these clients; without them the round builds
+    its own. The round runs under a floating-point state that raises on
+    overflow, invalid operations and division by zero (not underflow), so
+    the first non-finite value stops it with an error that names the round
+    and the clients, the server update or the evaluation it arose in.
     """
     start = time.perf_counter()
     round_index = server.t + 1
     if round_index > config.rounds:
         raise ContractViolation("run_round called past the configured horizon")
+    if plans is None:
+        plans = RoundPlans(clients, config)
     participants = sample_participants(server, config.n_clients, config.rho)
-    # Stacked calls need equal shapes, so a group shares the spec and the
-    # row counts of the sampled study batch and of the quiz; a study set
-    # smaller than batch_size gives a smaller batch and its own group.
-    groups: dict[tuple, list[ClientState]] = {}
-    for i in participants:
-        c = clients[i]
-        key = (c.spec, min(config.batch_size, len(c.data.study)), len(c.data.quiz.labels))
-        groups.setdefault(key, []).append(c)
+    groups = plans.groups(participants, round_index)
+    with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+        results: list[_ClientResult] = []
+        for plan in groups:
+            try:
+                results += _group_work(config, server.payload, plan, round_index)
+            except Exception as exc:
+                who = ", ".join(map(str, plan.indices))
+                label = "client" if len(plan.indices) == 1 else "clients"
+                raise ContractViolation(
+                    f"{label} {who} failed in round {round_index}: {exc}"
+                ) from exc
+        results.sort(key=lambda r: r.index)
 
-    results: list[_ClientResult] = []
-    for members in groups.values():
-        _check_stackable(members, round_index)
+        # Deterministic reduction in ascending client order.
+        payload = server.payload
+        upload_rows = 0
         try:
-            results += _group_work(config, server.payload, members, round_index)
+            if config.method in GUIDED_METHODS:
+                grads = [r.upload for r in results]
+                upload_rows = sum(g.uploaded_rows for g in grads)
+                payload = server_update(payload, grads, config.eta_s_effective)
+            elif config.method in PROTO_METHODS:
+                locals_ = [r.upload for r in results]
+                upload_rows = sum(int((c > 0).sum()) for _, c in locals_)
+                payload = aggregate_prototypes(locals_, config.space)
         except Exception as exc:
-            who = ", ".join(str(c.index) for c in members)
-            label = "client" if len(members) == 1 else "clients"
-            raise ContractViolation(f"{label} {who} failed in round {round_index}: {exc}") from exc
-    results.sort(key=lambda r: r.index)
+            raise ContractViolation(
+                f"server update failed in round {round_index}: {exc}"
+            ) from exc
 
-    study_ce = [None] * len(clients)
-    for r in results:
-        clients[r.index].params = r.params
-        study_ce[r.index] = r.study_ce
-
-    # Deterministic reduction in ascending client order.
-    payload = server.payload
-    upload_rows = 0
-    if config.method in GUIDED_METHODS:
-        grads = [r.upload for r in results]
-        upload_rows = sum(g.uploaded_rows for g in grads)
-        payload = server_update(payload, grads, config.eta_s_effective)
-    elif config.method in PROTO_METHODS:
-        locals_ = [r.upload for r in results]
-        upload_rows = sum(int((c > 0).sum()) for _, c in locals_)
-        payload = aggregate_prototypes(locals_, config.space)
-
-    upload_bytes, download_bytes = account_bytes(
-        len(participants),
-        upload_rows,
-        config.task.class_count,
-        config.vector_dim if config.space else 0,
-        config.method,
-    )
-
-    if round_index % config.eval_every == 0 or round_index == config.rounds or last is None:
-        scores = [c.score for c in clients]
-        accuracy, per_client, mean_ce = evaluate(
-            [(c.spec, c.params, c.data) for c in clients], scores, study_ce
+        upload_bytes, download_bytes = account_bytes(
+            len(participants),
+            upload_rows,
+            config.task.class_count,
+            config.vector_dim if config.space else 0,
+            config.method,
         )
-        for c, score in zip(clients, scores):
-            c.score = score
-    else:
-        accuracy, per_client, mean_ce = last.accuracy, last.per_client_accuracy, last.mean_ce
+
+        if round_index % config.eval_every == 0 or round_index == config.rounds or last is None:
+            study_ce = [None] * len(clients)
+            for r in results:
+                study_ce[r.index] = r.study_ce
+            scores = [c.score for c in clients]
+            try:
+                accuracy, per_client, mean_ce = evaluate(
+                    [(c.spec, c.params, c.data) for c in clients], scores, study_ce
+                )
+            except Exception as exc:
+                raise ContractViolation(
+                    f"evaluation failed in round {round_index}: {exc}"
+                ) from exc
+            for c, score in zip(clients, scores):
+                c.score = score
+        else:
+            accuracy, per_client, mean_ce = last.accuracy, last.per_client_accuracy, last.mean_ce
+
+        grad_norm_sq = float(np.mean([r.grad_norm_sq for r in results]))
 
     # The rise above the running minimum; 0 on the first round (min_ce inf).
     inc = max(0.0, mean_ce - server.min_ce)
     new_min = min(server.min_ce, mean_ce)
-
-    grad_norm_sq = float(np.mean([r.grad_norm_sq for r in results]))
     metrics = RoundMetrics(
         round_index=round_index,
         accuracy=accuracy,
@@ -548,9 +681,11 @@ def run_training(
         server = load_checkpoint(resume_from, config, clients)
     else:
         server = build_server(config)
+    plans = RoundPlans(clients, config)
     history: list[RoundMetrics] = []
     while server.t < config.rounds:
-        server, metrics = run_round(server, clients, config, history[-1] if history else None)
+        last = history[-1] if history else None
+        server, metrics = run_round(server, clients, config, last, plans)
         history.append(metrics)
         if checkpoint_at is not None and server.t == checkpoint_at:
             if checkpoint_path is None:
@@ -635,7 +770,8 @@ def load_checkpoint(path: str, config: RunConfig, clients: list[ClientState]) ->
     """Restore server state and client params in place; returns the server.
 
     Every size in the file is checked against the config and the clients'
-    specs before the data it sizes is read.
+    specs before the data it sizes is read, and the whole file is read
+    before any client's parameters are written.
     """
     with open(path, "rb") as fh:
         if _read_exact(fh, 4) != _MAGIC:
@@ -678,7 +814,8 @@ def load_checkpoint(path: str, config: RunConfig, clients: list[ClientState]) ->
             _check_header_field(
                 path, f"param_count of client {client.index}", p, param_count(client.spec)
             )
-            flats.append(np.frombuffer(_read_exact(fh, 8 * p), dtype="<f8").copy())
+            flats.append(np.frombuffer(_read_exact(fh, 8 * p), dtype="<f8"))
     for client, flat in zip(clients, flats):
-        client.params = params_from_flat(client.spec, flat)
+        client.params.flat[...] = flat
+        client.score = None
     return ServerState(seed, config.method, t, payload, min_ce)

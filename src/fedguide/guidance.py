@@ -118,11 +118,18 @@ def local_train_epoch(
     """
     if len(study) == 0:
         raise ContractViolation("study set is empty")
-    cfg = guided_loss_config(gset)
-    new, _ = run_sgd_epoch(
-        spec, [params], [study.inputs], [study.labels], cfg, eta_c, batch_size, [rng]
+    stack = ModelParams(params.flat[None].copy())
+    run_sgd_epoch(
+        spec,
+        stack,
+        [study.inputs],
+        [study.labels],
+        guided_loss_config(gset),
+        eta_c,
+        batch_size,
+        [rng],
     )
-    return new[0]
+    return ModelParams(stack.flat[0])
 
 
 def pseudo_train(
@@ -132,16 +139,22 @@ def pseudo_train(
     gset: GuidingVectorSet,
     eta_c: float,
     study_grad: np.ndarray | None = None,
+    out: ModelParams | None = None,
 ) -> ModelParams:
     """One non-persisted SGD step on the combined loss; input params untouched.
 
     ``study_grad``, when given, is that loss's gradient at ``params`` over
-    ``study_batch``, already computed by the caller; it is used as is. Takes
-    a stack of clients as ``grad_params`` does.
+    ``study_batch``, already computed by the caller; it is used as is. The
+    step is written into ``out`` when given (see ``sgd_step``). Takes a
+    stack of clients as ``grad_params`` does.
     """
     if study_grad is None:
         study_grad = grad_params(spec, params, study_batch, guided_loss_config(gset))
-    return sgd_step(params, study_grad, eta_c)
+    return sgd_step(params, study_grad, eta_c, out=out)
+
+
+# The quiz loss: plain cross-entropy.
+_QUIZ_LOSS = LossConfig(use_ce=True)
 
 
 def guidance_gradient(
@@ -153,6 +166,7 @@ def guidance_gradient(
     eta_c: float,
     study_grad: np.ndarray | None = None,
     study_layers: list | None = None,
+    buffers: tuple[ModelParams, ModelParams] | None = None,
 ) -> GuidanceGradient | list[GuidanceGradient]:
     """Exact gradient of the mean quiz ce after pseudo-train w.r.t. each v^y.
 
@@ -163,14 +177,24 @@ def guidance_gradient(
     dependence path and get zero rows. ``study_grad`` is passed on to
     ``pseudo_train``, and ``study_layers`` (the layer outputs of
     ``study_grad``'s forward pass, from ``grad_params(..., layers_out=)``)
-    to the JVP. Given a stack of k clients (stacked params, study
-    batches and quizzes), returns the list of their k gradients.
+    to the JVP. ``buffers``, when given, are two ModelParams shaped like
+    ``params``: the pseudo-trained parameters and the quiz gradient are
+    written into them, and the JVP reads the gradient through the second's
+    bound views. The first may hold ``study_grad``, which it overwrites.
+    Given a stack of k clients (stacked params, study batches and quizzes),
+    returns the list of their k gradients.
     """
-    theta_prime = pseudo_train(spec, params, study_batch, gset, eta_c, study_grad)
-    quiz_direction = grad_params(spec, theta_prime, quiz, LossConfig(use_ce=True))
+    theta_out, direction_out = (None, None) if buffers is None else buffers
+    theta_prime = pseudo_train(spec, params, study_batch, gset, eta_c, study_grad, out=theta_out)
+    quiz_direction = grad_params(spec, theta_prime, quiz, _QUIZ_LOSS, out=direction_out)
 
     jvps = jvp_guided_batch(
-        spec, params, study_batch.inputs, quiz_direction, gset.space, layers=study_layers
+        spec,
+        params,
+        study_batch.inputs,
+        quiz_direction if direction_out is None else direction_out,
+        gset.space,
+        layers=study_layers,
     )
     labels = study_batch.labels
     scale = 2.0 * eta_c / (gset.dim * labels.shape[-1])
@@ -210,7 +234,12 @@ def server_update(
     eta_s: float,
 ) -> GuidingVectorSet:
     """Average uploaded rows per class over the clients that have them, then
-    take one gradient step. Classes no client reported stay untouched."""
+    take one gradient step. Classes no client reported stay untouched.
+
+    The uploads are reduced as one (k, C, M) array, in client order. Absent
+    rows are set to -0.0, which leaves any sum unchanged, sign of zero
+    included, so each class's sum equals the sum of its present rows alone.
+    """
     if not grads:
         raise ContractViolation("server_update needs at least one gradient")
     shape = gset.vectors.shape
@@ -219,11 +248,13 @@ def server_update(
             raise ContractViolation(
                 f"gradient shape {g.per_class.shape} does not match vectors {shape}"
             )
+    rows = np.stack([g.per_class for g in grads])
+    present = np.stack([g.present for g in grads])
+    rows[~present] = -0.0
+    counts = np.count_nonzero(present, axis=0)
+    reported = counts > 0
     vectors = gset.vectors.copy()
-    for y in range(gset.class_count):
-        rows = [g.per_class[y] for g in grads if g.present[y]]
-        if rows:
-            vectors[y] -= eta_s * (np.sum(rows, axis=0) / len(rows))
+    vectors[reported] -= eta_s * (rows.sum(axis=0)[reported] / counts[reported, None])
     return GuidingVectorSet(vectors, gset.space, gset.version + 1)
 
 

@@ -35,13 +35,10 @@ class RoundMetrics:
 
 @dataclass(frozen=True)
 class ClientScore:
-    """One client's evaluation, valid for the very ``params`` object scored.
+    """One client's evaluation, valid until its parameters next change; the
+    caller that changes them drops the score (a client's data never
+    changes)."""
 
-    Every parameter update builds a new ModelParams and a client's data never
-    changes, so a score still holds while the client keeps the same object.
-    """
-
-    params: ModelParams
     test_hits: int
     study_ce: float
 
@@ -54,10 +51,16 @@ def study_cross_entropy(
 ) -> float:
     """Mean cross-entropy of a client model over its study set; ``outputs``,
     when given, are ``forward_batch(spec, params, study.inputs)`` already
-    computed by the caller, used as is."""
+    computed by the caller, used as is.
+
+    A Dataset checks its labels against its own class count when it is
+    built, so they are checked again only when that count exceeds the
+    model's.
+    """
     if len(study) == 0:
         raise ContractViolation("study set is empty")
-    nn._check_labels(study.labels, spec.class_count)
+    if study.class_count > spec.class_count:
+        nn._check_labels(study.labels, spec.class_count)
     if outputs is None:
         outputs = nn.forward_batch(spec, params, study.inputs)
     return float(nn._ce_rows(outputs[1], study.labels).mean())
@@ -72,10 +75,10 @@ def score_client(
     already computed by the caller.
     """
     _, logits = forward_batch(spec, params, data.test.inputs)
-    hits = int((logits.argmax(axis=1) == data.test.labels).sum())
+    hits = int(np.count_nonzero(logits.argmax(axis=1) == data.test.labels))
     if study_ce is None:
         study_ce = study_cross_entropy(spec, params, data.study)
-    return ClientScore(params, hits, study_ce)
+    return ClientScore(hits, study_ce)
 
 
 def evaluate(
@@ -90,9 +93,9 @@ def evaluate(
     samples. The ce figure is the unweighted mean over clients of each
     client's mean study-set cross-entropy.
 
-    ``scores``, when given, holds each client's last score (None if it has
-    none) and is brought up to date in place: a client is scored again only
-    when its params object is not the one its score was computed for.
+    ``scores``, when given, holds each client's last score, or None for a
+    client not scored since its parameters last changed; the None entries
+    are scored and filled in place, the others used as they are.
     ``study_ce``, when given, holds per client None or the study ce of its
     current params, passed on to ``score_client``.
     """
@@ -108,7 +111,7 @@ def evaluate(
         if len(data.test) == 0:
             raise ContractViolation(f"client {i} has an empty test set")
         score = scores[i]
-        if score is None or score.params is not params:
+        if score is None:
             score = scores[i] = score_client(spec, params, data, study_ce[i])
         per_client[i] = score.test_hits / len(data.test)
         correct += score.test_hits

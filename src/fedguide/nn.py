@@ -17,12 +17,13 @@ layer's output, and ``jvp_guided_batch`` pushes tangents through it, taking
 each activation's derivative from the layer's output. A JVP at the params and
 inputs of a gradient call takes that call's pass instead of running its own.
 
-All functions here are pure: they never mutate their inputs and write only
-into an ``out`` ModelParams or ``layers_out`` list the caller passes in. The
-block views of a ``ModelParams`` are built on its first use and cached on
-the object; it is frozen, so they always address its own ``flat``. A
-gradient buffer is a ``ModelParams`` too, so its block views are bound once
-and reused by every call that writes into it.
+The functions here never mutate their inputs and write only into an
+``out`` or ``layers_out`` the caller passes in, except ``run_sgd_epoch``,
+which steps the parameter stack it is given in place. The block views of a
+``ModelParams`` are built on its first use and cached on the object; it is
+frozen, so they always address its own ``flat``. A gradient buffer is a
+``ModelParams`` too, so its block views are bound once and reused by every
+call that writes into it.
 
 The gradient kernels are rank-polymorphic: given a stack of k clients of one
 architecture (``params.flat`` (k, P), inputs (k, n, d), labels (k, n)) they
@@ -108,13 +109,14 @@ class ModelParams:
     With ``offsets, extractor_end = _layout(spec)``,
     ``flat[offsets[i]:offsets[i+1]]`` is affine block i (weights row-major,
     then biases) and ``flat[:extractor_end]`` is exactly the extractor. A
-    stack of k same-spec clients has ``flat`` of shape (k, P) (see
-    stack_params). Frozen, so ``flat`` is never rebound and the cached block
-    views stay valid; updating ``flat`` in place shows through them.
+    stack of k same-spec clients has ``flat`` of shape (k, P). Frozen, so
+    ``flat`` is never rebound and the cached block views stay valid;
+    updating ``flat`` in place shows through them.
     """
 
     flat: np.ndarray
     _views: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _prefixes: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.flat.copy())
@@ -130,6 +132,21 @@ class ModelParams:
             object.__setattr__(self, "_views", views)
         return views[1]
 
+    def prefix(self, rows: int) -> "ModelParams":
+        """The first ``rows`` clients of a (k, P) stack, sharing its memory:
+        the stack itself for all k, otherwise an object made on first use
+        and kept, so its block views too are bound once."""
+        if rows == self.flat.shape[0]:
+            return self
+        prefixes = self._prefixes
+        if prefixes is None:
+            prefixes = {}
+            object.__setattr__(self, "_prefixes", prefixes)
+        found = prefixes.get(rows)
+        if found is None:
+            found = prefixes[rows] = ModelParams(self.flat[:rows])
+        return found
+
 
 def params_from_flat(spec: ModelSpec, flat: np.ndarray) -> ModelParams:
     """Wrap a flat vector as ModelParams, validating its length against spec."""
@@ -141,13 +158,25 @@ def params_from_flat(spec: ModelSpec, flat: np.ndarray) -> ModelParams:
     return ModelParams(flat)
 
 
-def init_params(spec: ModelSpec, rng: np.random.Generator) -> ModelParams:
-    """Per-layer uniform init in +-sqrt(6/(fan_in+fan_out))."""
-    chunks = []
-    for fan_in, fan_out in affine_dims(spec):
+def init_params(
+    spec: ModelSpec, rng: np.random.Generator, out: np.ndarray | None = None
+) -> ModelParams:
+    """Per-layer uniform init in +-sqrt(6/(fan_in+fan_out)).
+
+    ``out``, when given, is a float64 P-vector (a row of a larger array, say)
+    that each block is drawn straight into; the result is a view of it.
+    """
+    if out is None:
+        out = np.empty(param_count(spec))
+    elif out.shape != (param_count(spec),) or out.dtype != np.float64:
+        raise ContractViolation(
+            f"out is {out.dtype} {out.shape}, expected float64 ({param_count(spec)},)"
+        )
+    offsets, _ = _layout(spec)
+    for (fan_in, fan_out), start, end in zip(affine_dims(spec), offsets, offsets[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        chunks.append(rng.uniform(-bound, bound, size=fan_out * fan_in + fan_out))
-    return params_from_flat(spec, np.concatenate(chunks))
+        out[start:end] = rng.uniform(-bound, bound, size=end - start)
+    return ModelParams(out)
 
 
 @lru_cache(maxsize=None)
@@ -159,11 +188,6 @@ def _block_slices(spec: ModelSpec) -> tuple[tuple[slice, tuple[int, int], slice]
         w_end = off + fan_out * fan_in
         blocks.append((slice(off, w_end), (fan_out, fan_in), slice(w_end, w_end + fan_out)))
     return tuple(blocks)
-
-
-def stack_params(params: Sequence[ModelParams]) -> ModelParams:
-    """The parameters of same-spec clients as one (k, P) stack."""
-    return ModelParams(np.stack([p.flat for p in params]))
 
 
 def _affines(spec: ModelSpec, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -464,7 +488,7 @@ def jvp_guided_batch(
     spec: ModelSpec,
     params: ModelParams,
     inputs: np.ndarray,
-    direction: np.ndarray,
+    direction: np.ndarray | ModelParams,
     space: str,
     layers: list | None = None,
 ) -> np.ndarray:
@@ -479,15 +503,19 @@ def jvp_guided_batch(
     result (k, n, M).
     ``layers``, when given, are the layer outputs of a forward pass of
     ``params`` over these very ``inputs``, as ``grad_params(...,
-    layers_out=)`` hands them out; they are used as is.
+    layers_out=)`` hands them out; they are used as is. A ``direction``
+    given as a ModelParams (a gradient buffer, say) lends its bound block
+    views; an array's are bound per call.
     """
     if space not in SPACES:
         raise ContractViolation(f"unknown guide space {space!r}")
-    direction = np.asarray(direction, dtype=np.float64)
-    if direction.shape != params.flat.shape:
+    given = isinstance(direction, ModelParams)
+    d_flat = direction.flat if given else np.asarray(direction, dtype=np.float64)
+    if d_flat.shape != params.flat.shape:
         raise ContractViolation(
-            f"direction has shape {direction.shape}, params {params.flat.shape}"
+            f"direction has shape {d_flat.shape}, params {params.flat.shape}"
         )
+    d_blocks = direction.blocks(spec) if given else _bound_views(spec, d_flat)
     x = np.asarray(inputs, dtype=np.float64)
     _check_stack(params, x, spec, "inputs")
     if layers is None:
@@ -503,7 +531,7 @@ def jvp_guided_batch(
     # zero, so block 0 starts from z @ dW^T alone.
     dz = None
     for l, ((_, wt, _, _), (_, dwt, _, db_row)) in enumerate(
-        zip(blocks, _bound_views(spec, direction))
+        zip(blocks, d_blocks)
     ):
         da = layers[l] @ dwt if dz is None else dz @ wt + layers[l] @ dwt
         da += db_row
@@ -516,37 +544,59 @@ def jvp_guided_batch(
     return dz
 
 
-def sgd_step(params: ModelParams, gradient: np.ndarray, eta_c: float) -> ModelParams:
-    """One SGD step; returns new params, never touching the input."""
+def sgd_step(
+    params: ModelParams, gradient: np.ndarray, eta_c: float, out: ModelParams | None = None
+) -> ModelParams:
+    """One SGD step; returns new params, never touching the input.
+
+    ``out``, when given, is a ModelParams shaped like ``params`` that shares
+    no memory with it (it may be ``gradient``'s own buffer); the step is
+    written into it and it is returned.
+    """
     gradient = np.asarray(gradient, dtype=np.float64)
     if gradient.shape != params.flat.shape:
         raise ContractViolation("gradient shape does not match params")
-    return ModelParams(params.flat - eta_c * gradient)
+    if out is None:
+        return ModelParams(params.flat - eta_c * gradient)
+    if out.flat.shape != params.flat.shape:
+        raise ContractViolation(f"out is {out.flat.shape}, expected {params.flat.shape}")
+    np.multiply(gradient, eta_c, out=out.flat)
+    np.subtract(params.flat, out.flat, out=out.flat)
+    return out
 
 
 def run_sgd_epoch(
     spec: ModelSpec,
-    params: Sequence[ModelParams],
+    params: ModelParams,
     inputs: Sequence[np.ndarray],
     labels: Sequence[np.ndarray],
     cfg: LossConfig,
     eta_c: float,
     batch_size: int,
     rngs: Sequence[np.random.Generator],
-) -> tuple[list[ModelParams], ModelParams]:
-    """One local epoch for each client of a same-spec group, in lockstep.
+    grad: ModelParams | None = None,
+) -> ModelParams:
+    """One local epoch for each client of a same-spec stack, in lockstep,
+    stepping the (k, P) stack ``params.flat`` in place; returns ``params``.
 
-    Client j takes floor(n_j / batch_size) SGD steps on shuffled batches of
-    its own samples (``inputs[j]``, ``labels[j]``, permuted by ``rngs[j]``)
-    and drops the remainder. Clients come ordered by step count, most first,
-    so those still stepping at step s are a prefix of the stack, and each
-    step is one stacked gradient and one in-place update of that prefix.
+    Client j (row j) takes floor(n_j / batch_size) SGD steps on shuffled
+    batches of its own samples (``inputs[j]``, ``labels[j]``, permuted by
+    ``rngs[j]``) and drops the remainder. Clients come ordered by step
+    count, most first, so those still stepping at step s are a prefix of the
+    stack, and each step is one stacked gradient and one in-place update of
+    that prefix. A client that takes no step keeps its row untouched.
 
-    Returns the new params in input order, each owning a copy of its row (a
-    client that takes no step gets its own ``params`` object back), and the
-    (k, P) stack the epoch stepped, whose row j is client j's new params.
+    ``grad``, when given, is a float64 ModelParams of at least as many rows
+    as clients that step, sharing no memory with ``params``; the gradients
+    are written into it. The prefixes of both are taken with
+    ``ModelParams.prefix``, so a caller that steps the same stack through
+    the same buffer again binds no view.
     """
     steps = [x.shape[0] // batch_size for x in inputs]
+    if params.flat.shape != (len(steps), param_count(spec)):
+        raise ContractViolation(
+            f"params are {params.flat.shape}, expected ({len(steps)}, {param_count(spec)})"
+        )
     for j in range(1, len(steps)):
         if steps[j] > steps[j - 1]:
             raise ContractViolation(
@@ -560,7 +610,20 @@ def run_sgd_epoch(
                 f"client {j}'s inputs have shape {inputs[j].shape}, "
                 f"spec expects (*, {spec.input_dim})"
             )
-    out = list(params)
+    if grad is None:
+        grad = ModelParams(np.empty((stepping, params.flat.shape[1])))
+    elif (
+        grad.flat.ndim != 2
+        or grad.flat.shape[0] < stepping
+        or grad.flat.shape[1] != params.flat.shape[1]
+        or grad.flat.dtype != np.float64
+    ):
+        raise ContractViolation(
+            f"grad is {grad.flat.dtype} {grad.flat.shape}, expected float64 "
+            f"(>= {stepping}, {params.flat.shape[1]})"
+        )
+    if stepping == 0:
+        return params
     # Every stepping client's batches laid out once, step-major: xs[s, j] is
     # client j's batch at step s, so the clients still stepping at step s
     # are the contiguous xs[s, :active] (entries past a client's last step
@@ -575,25 +638,17 @@ def run_sgd_epoch(
         ys[: steps[j], j] = labels[j][used].reshape(steps[j], batch_size)
     _check_labels(ys, spec.class_count)
     layout = (xs, ys, _output_terms(spec, cfg, ys, shape[1:]))
-    stacked = stack_params(params)
-    flat = stacked.flat
-    grad = np.empty((stepping, flat.shape[1]))  # one gradient buffer for the epoch
     active = 0
     for s in range(steps[0]):
         if active == 0 or steps[active - 1] <= s:
-            # The prefix still stepping shrank (or this is the first step):
-            # bind it, and its slice of the gradient buffer, once.
+            # The prefix still stepping shrank (or this is the first step).
             active = sum(n > s for n in steps)
-            theta, g = flat[:active], grad[:active]
-            prefix, g_prefix = ModelParams(theta), ModelParams(g)
+            prefix, g_prefix = params.prefix(active), grad.prefix(active)
+            theta, g = prefix.flat, g_prefix.flat
         grad_params(spec, prefix, _layout_batch(layout, s, active), cfg, out=g_prefix)
         g *= eta_c
         theta -= g
-    for j in range(stepping):
-        # A copy, so a client that sits out later rounds does not keep the
-        # whole group's stack alive.
-        out[j] = ModelParams(flat[j].copy())
-    return out, stacked
+    return params
 
 
 def family_spec(

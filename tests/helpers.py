@@ -33,6 +33,11 @@ def small_config(method="fedl2g-f", **kwargs) -> RunConfig:
     return RunConfig(**defaults)
 
 
+def stack_params(params) -> ModelParams:
+    """Same-spec clients' parameters as one (k, P) stack (a copy)."""
+    return ModelParams(np.stack([p.flat for p in params]))
+
+
 def fd_grad_params(
     spec: ModelSpec,
     params: ModelParams,

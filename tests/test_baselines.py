@@ -18,7 +18,7 @@ from fedguide.guidance import GuidingVectorSet, guided_loss_config
 from fedguide.nn import LossConfig, MiniBatch, ModelSpec
 from fedguide.rng import stream
 
-from helpers import random_instance
+from helpers import random_instance, stack_params
 
 
 def baseline_client_loss(spec, params, batch, pset):
@@ -138,22 +138,22 @@ def test_local_only_round_deterministic_and_trains():
         return [
             nn.run_sgd_epoch(
                 spec,
-                [params],
+                stack_params([params]),
                 [study.inputs],
                 [study.labels],
                 LossConfig(use_ce=True),
                 0.05,
                 10,
                 [stream(0, 6, i, round_index)],
-            )[0][0]
+            ).flat[0]
             for i, (spec, params, study) in enumerate(clients)
         ]
 
     out1 = local_only_round(1)
     out2 = local_only_round(1)
     for p1, p2, (spec, before, _) in zip(out1, out2, clients):
-        assert np.array_equal(p1.flat, p2.flat)
-        assert not np.array_equal(p1.flat, before.flat)
+        assert np.array_equal(p1, p2)
+        assert not np.array_equal(p1, before.flat)
 
 
 def test_prototype_set_shape_validation():

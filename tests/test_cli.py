@@ -4,6 +4,7 @@ determinism and round-trips, summaries, and comparisons."""
 import dataclasses
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -432,3 +433,18 @@ def test_non_finite_float_options_are_rejected(
 ):
     with pytest.raises(ConfigError, match=f"^{field}: must be finite"):
         _parse_from(source, {key: raw.format(number)}, tmp_path, monkeypatch)
+
+
+def test_a_diverging_run_stops_at_its_first_overflow_with_a_marker(tmp_path, capsys):
+    # fedl2g-f at seed 1 with a 30x feature-space server step: the guiding
+    # vectors grow until four clients' matmuls overflow in round 54
+    out = tmp_path / "out"
+    argv = ["run", "--method", "fedl2g-f", "--seed", "1", "--eta-s-scale", "30", "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    expected = "clients 0, 5, 10, 15 failed in round 54: overflow encountered in matmul"
+    assert expected in (out / "FAILED.txt").read_text()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expected in err

@@ -8,7 +8,8 @@ import struct
 import numpy as np
 import pytest
 
-from fedguide import federation, metrics, nn
+from fedguide import federation, metrics, nn, rng
+from fedguide.cli import format_metrics_csv
 from fedguide.errors import CheckpointError, ConfigError, ContractViolation
 from fedguide.federation import (
     build_clients,
@@ -214,10 +215,11 @@ def test_checkpoint_rejects_wrong_param_count_and_leaves_clients_untouched(tmp_p
     assert struct.unpack_from("<Q", blob, offset)[0] == nn.param_count(last.spec)
     struct.pack_into("<Q", blob, offset, nn.param_count(last.spec) + 1)
     path.write_bytes(bytes(blob))
-    before = [c.params for c in clients]
+    before = [c.params.flat.copy() for c in clients]
     with pytest.raises(CheckpointError, match=f"param_count of client {last.index}"):
         load_checkpoint(str(path), cfg, clients)
-    assert all(c.params is b for c, b in zip(clients, before))
+    # by value: the file is checked in full before any row is written
+    assert all(np.array_equal(c.params.flat, b) for c, b in zip(clients, before))
 
 
 def _train_checking_evaluation(cfg, clients, server):
@@ -262,7 +264,7 @@ def test_evaluation_scores_only_clients_whose_params_changed(monkeypatch):
     scored = []
 
     def counting_forward(spec, params, inputs):
-        scored.append(params)
+        scored.append(params.flat.copy())
         return nn.forward_batch(spec, params, inputs)
 
     monkeypatch.setattr(metrics, "forward_batch", counting_forward)
@@ -274,10 +276,17 @@ def test_evaluation_scores_only_clients_whose_params_changed(monkeypatch):
     while server.t < cfg.rounds:
         scored.clear()
         server, _ = run_round(server, clients, cfg)
-        changed = [c.params for c, prev in zip(clients, last_scored) if c.params is not prev]
-        assert len(scored) == len(changed) and all(a is b for a, b in zip(scored, changed))
+        # by value, in client order: the parameters of every client whose
+        # values moved since its last score, and of no other
+        changed = [
+            c.params.flat
+            for c, prev in zip(clients, last_scored)
+            if prev is None or not np.array_equal(c.params.flat, prev)
+        ]
+        assert len(scored) == len(changed)
+        assert all(np.array_equal(a, b) for a, b in zip(scored, changed))
         counts.append(len(scored))
-        last_scored = [c.params for c in clients]
+        last_scored = [c.params.flat.copy() for c in clients]
     # all six at first, none in the warm-up round, then the three trained participants
     assert counts == [6, 0, 3, 3, 3, 3]
 
@@ -381,9 +390,84 @@ def test_guided_group_round_runs_no_duplicate_forward_pass(monkeypatch, method):
 
     monkeypatch.setattr(nn, "_forward", counting)
     steps = max(len(c.data.study) for c in members) // cfg.batch_size
+    [plan] = federation.RoundPlans(clients, cfg).groups([c.index for c in members], 1)
     for round_index, epoch_steps in [(1, 0), (2, steps)]:  # a warm-up round, then one that trains
         passes.clear()
-        federation._group_work(cfg, payload, members, round_index)
+        federation._group_work(cfg, payload, plan, round_index)
         # One pass per epoch step, the study gradient's (which the guidance
         # JVP reuses) and the quiz gradient's.
         assert len(passes) == epoch_steps + 2
+
+
+@pytest.mark.parametrize("method", ["fedl2g-f", "fedproto", "local-only"])
+def test_block_view_bindings_do_not_grow_with_rounds(monkeypatch, method):
+    # With rho = 1 every group plan is reused, so after the first training
+    # round no round binds a parameter or buffer view again.
+    bindings = []
+    original = nn._bound_views
+
+    def counting(spec, vec):
+        bindings.append(vec.shape)
+        return original(spec, vec)
+
+    monkeypatch.setattr(nn, "_bound_views", counting)
+    counts = []
+    for rounds in (4, 8):
+        bindings.clear()
+        run_training(small_config(method, rounds=rounds))
+        counts.append(len(bindings))
+    assert counts[0] == counts[1] > 0
+
+
+def _outputs(history, clients, server):
+    payload = server.payload
+    return (
+        format_metrics_csv(history),
+        b"".join(c.params.flat.tobytes() for c in clients),
+        None if payload is None else payload.vectors.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("method", ["fedl2g-f", "fedproto"])
+def test_reused_plans_equal_fresh_plans_and_a_resume_bitwise(tmp_path, method, seed):
+    cfg = small_config(method, seed=seed, rho=0.5, eval_every=3, rounds=9)
+    ckpt = str(tmp_path / "run.ckpt")
+    # resumed before an evaluated round: a resumed run evaluates its first round
+    full = run_training(cfg, checkpoint_at=5, checkpoint_path=ckpt)
+    # every round through plans of its own, none kept from the round before
+    clients, server, history = build_clients(cfg), build_server(cfg), []
+    while server.t < cfg.rounds:
+        server, m = run_round(server, clients, cfg, history[-1] if history else None)
+        history.append(m)
+    expected = _outputs(full.history, full.clients, full.server)
+    assert _outputs(history, clients, server) == expected
+    resumed = run_training(cfg, resume_from=ckpt)
+    assert _outputs(full.history[:5] + resumed.history, resumed.clients, resumed.server) == expected
+
+
+def test_rows_of_a_spec_are_one_array_in_epoch_order():
+    cfg = small_config(batch_size=20)
+    clients = build_clients(cfg)
+    for c in clients:
+        assert c.params.flat.base is c.rows and np.shares_memory(c.params.flat, c.rows[c.row])
+        same = [d for d in clients if d.spec == c.spec]
+        assert all(d.spec is c.spec and d.rows is c.rows for d in same)
+        order = sorted(same, key=lambda d: (-(len(d.data.study) // cfg.batch_size), d.index))
+        assert [d.row for d in order] == list(range(len(same)))
+    # each client drawn straight into its row, as init_params draws it alone
+    for c in clients:
+        alone = nn.init_params(c.spec, rng.stream(cfg.seed, rng.MODEL_INIT, c.index))
+        assert c.params.flat.tobytes() == alone.flat.tobytes()
+
+
+def test_server_side_errors_name_the_round_and_the_server_update(monkeypatch):
+    def overflowing(gset, grads, eta_s):
+        return np.float64(1e308) * 10.0  # raises under the round's error state
+
+    monkeypatch.setattr(federation, "server_update", overflowing)
+    cfg = small_config(rounds=1, warmup=0)
+    with pytest.raises(
+        ContractViolation, match=r"^server update failed in round 1: overflow encountered"
+    ):
+        run_round(build_server(cfg), build_clients(cfg), cfg)

@@ -23,7 +23,13 @@ from fedguide.guidance import (
 from fedguide.nn import LossConfig, MiniBatch, ModelSpec
 from fedguide.rng import stream
 
-from helpers import fd_guidance_gradient, quiz_ce_after_pseudo, random_instance, rel_error
+from helpers import (
+    fd_guidance_gradient,
+    quiz_ce_after_pseudo,
+    random_instance,
+    rel_error,
+    stack_params,
+)
 
 
 def make_instance(seed, space="feature", class_count=3, feature_dim=5):
@@ -144,7 +150,7 @@ def test_stacked_guidance_gradient_equals_each_client_alone(space):
     params = [nn.init_params(spec, stream(8, 3, j)) for j in range(3)]
     batches = [MiniBatch(rng.standard_normal((6, 4)), rng.integers(0, 3, 6)) for _ in range(3)]
     quizzes = [MiniBatch(rng.standard_normal((4, 4)), rng.integers(0, 3, 4)) for _ in range(3)]
-    stacked_params = nn.stack_params(params)
+    stacked_params = stack_params(params)
     batch, quiz = nn.stack_batches(batches), nn.stack_batches(quizzes)
     stacked = guidance_gradient(spec, stacked_params, batch, quiz, gset, 0.05)
     for p, b, q, g in zip(params, batches, quizzes, stacked):
@@ -264,6 +270,39 @@ def test_server_update_zero_feedback_fixed_point():
     ]
     out = server_update(gset, zeros, 10.0)
     assert np.array_equal(out.vectors, gset.vectors)
+
+
+def _server_update_reference(gset, grads, eta_s):
+    """The per-class loop server_update once was: each reported class's rows
+    summed in client order, divided by their count, one step per class."""
+    vectors = gset.vectors.copy()
+    for y in range(gset.class_count):
+        rows = [g.per_class[y] for g in grads if g.present[y]]
+        if rows:
+            vectors[y] -= eta_s * (np.sum(rows, axis=0) / len(rows))
+    return vectors
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_server_update_equals_the_per_class_loop_bitwise(seed):
+    rng = stream(seed, 17)
+    c, m = 7, 5
+    vectors = rng.standard_normal((c, m))
+    vectors[0, :2] = [0.0, -0.0]  # signed zeros must keep their sign
+    gset = GuidingVectorSet(vectors, "feature", version=seed)
+    k = 1 + seed
+    present = rng.random((k, c)) < 0.5
+    present[:, 6] = False  # a class no client reports
+    present[:, 5] = np.arange(k) == k - 1  # reported by one client only
+    present[:, 0] = True
+    per_class = np.where(present[..., None], rng.standard_normal((k, c, m)), 0.0)
+    per_class[:, 0, 2] = -0.0  # rows whose sum is an exact zero of either sign
+    per_class[0, 0, 3], per_class[1:, 0, 3] = 0.0, -0.0
+    grads = [GuidanceGradient(g, p) for g, p in zip(per_class, present)]
+    out = server_update(gset, grads, 0.9)
+    assert out.vectors.tobytes() == _server_update_reference(gset, grads, 0.9).tobytes()
+    assert out.vectors[6].tobytes() == vectors[6].tobytes()
+    assert out.version == seed + 1
 
 
 def test_server_update_shape_mismatch_rejected():

@@ -11,7 +11,7 @@ from fedguide.errors import ContractViolation
 from fedguide.nn import LossConfig, MiniBatch, ModelParams, ModelSpec
 from fedguide.rng import stream
 
-from helpers import fd_grad_params, fd_jvp, random_instance, rel_error
+from helpers import fd_grad_params, fd_jvp, random_instance, rel_error, stack_params
 
 
 def zero_params(spec):
@@ -331,7 +331,7 @@ def test_stacked_kernels_equal_unstacked_bitwise(variant, mode, k):
     clients = [nn.init_params(spec, stream(variant, 3, j)) for j in range(k)]
     batches = [MiniBatch(rng.standard_normal((10, 32)), rng.integers(0, 10, 10)) for _ in range(k)]
     directions = rng.standard_normal((k, nn.param_count(spec)))
-    stacked = nn.stack_params(clients)
+    stacked = stack_params(clients)
     batch = nn.stack_batches(batches)
     grads = nn.grad_params(spec, stacked, batch, cfg)
     jvps = nn.jvp_guided_batch(spec, stacked, batch.inputs, directions, space)
@@ -344,7 +344,7 @@ def test_stacked_kernels_equal_unstacked_bitwise(variant, mode, k):
 
 def test_stacked_kernels_reject_mismatched_stacks():
     spec = nn.family_spec(0, 4, 3, 2)
-    stacked = nn.stack_params([nn.init_params(spec, stream(0, 3, j)) for j in range(2)])
+    stacked = stack_params([nn.init_params(spec, stream(0, 3, j)) for j in range(2)])
     three = MiniBatch(np.zeros((3, 5, 4)), np.zeros((3, 5), dtype=int))
     with pytest.raises(ContractViolation, match=r"expected \(2, n, 4\)"):
         nn.grad_params(spec, stacked, three, LossConfig())
@@ -376,20 +376,20 @@ def test_lockstep_epoch_equals_each_client_alone(mode):
     labels = [rng.integers(0, 4, n) for n in sizes]
     rngs = [stream(5, 6, j) for j in range(len(sizes))]
 
-    out, stacked = nn.run_sgd_epoch(spec, params, inputs, labels, cfg, 0.05, 10, rngs)
-    assert out[-1] is params[-1]  # no step: the very same object comes back
-    assert stacked.flat.shape == (len(sizes), nn.param_count(spec))
+    stacked = stack_params(params)
+    assert nn.run_sgd_epoch(spec, stacked, inputs, labels, cfg, 0.05, 10, rngs) is stacked
+    assert stacked.flat[-1].tobytes() == params[-1].flat.tobytes()  # no step: row untouched
     for j in range(len(sizes)):
         expected = _epoch_one_client_at_a_time(
             spec, params[j], inputs[j], labels[j], cfg, 0.05, 10, stream(5, 6, j)
         )
-        assert out[j].flat.tobytes() == expected.flat.tobytes(), j
         assert stacked.flat[j].tobytes() == expected.flat.tobytes(), j
-        alone, _ = nn.run_sgd_epoch(
-            spec, [params[j]], [inputs[j]], [labels[j]], cfg, 0.05, 10, [stream(5, 6, j)]
+        alone = nn.run_sgd_epoch(
+            spec, stack_params([params[j]]), [inputs[j]], [labels[j]], cfg, 0.05, 10,
+            [stream(5, 6, j)],
         )
-        assert alone[0].flat.tobytes() == out[j].flat.tobytes(), j
-    assert all(not np.array_equal(o.flat, p.flat) for o, p in zip(out[:-1], params[:-1]))
+        assert alone.flat[0].tobytes() == stacked.flat[j].tobytes(), j
+    assert all(not np.array_equal(stacked.flat[j], p.flat) for j, p in enumerate(params[:-1]))
 
 
 def test_epoch_rejects_clients_out_of_step_order():
@@ -401,7 +401,7 @@ def test_epoch_rejects_clients_out_of_step_order():
     labels = [rng.integers(0, 4, n) for n in sizes]
     rngs = [stream(5, 6, j) for j in range(len(sizes))]
     with pytest.raises(ContractViolation, match="client 1 takes 7 steps after client 0's 3"):
-        nn.run_sgd_epoch(spec, params, inputs, labels, LossConfig(), 0.05, 10, rngs)
+        nn.run_sgd_epoch(spec, stack_params(params), inputs, labels, LossConfig(), 0.05, 10, rngs)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
@@ -413,7 +413,7 @@ def test_grad_params_into_out_buffer_is_the_allocating_call(variant, mode, k):
     cfg = _guide_config(mode, spec, rng)
     params = [nn.init_params(spec, stream(variant, 3, j)) for j in range(k)]
     batches = [MiniBatch(rng.standard_normal((10, 32)), rng.integers(0, 10, 10)) for _ in range(k)]
-    for p, b in [(params[0], batches[0]), (nn.stack_params(params), nn.stack_batches(batches))]:
+    for p, b in [(params[0], batches[0]), (stack_params(params), nn.stack_batches(batches))]:
         expected = nn.grad_params(spec, p, b, cfg)
         # stale contents must not leak through
         buf = ModelParams(np.full_like(p.flat, np.nan))
@@ -455,16 +455,20 @@ def test_epoch_results_share_no_memory(monkeypatch):
         return original(spec, params, batch, cfg, out=out)
 
     monkeypatch.setattr(nn, "grad_params", recording)
+    stacked = stack_params(params)
+    grad = ModelParams(np.empty_like(stacked.flat))
     rngs = [stream(6, 6, j) for j in range(len(sizes))]
-    out, _ = nn.run_sgd_epoch(spec, params, inputs, labels, LossConfig(), 0.05, 10, rngs)
+    nn.run_sgd_epoch(spec, stacked, inputs, labels, LossConfig(), 0.05, 10, rngs, grad=grad)
     assert len(buffers) == 7  # one call per step, through the module name
-    stack, grad = buffers[0]
-    assert grad is not None and not np.shares_memory(stack, grad)
-    for j, p in enumerate(out):
-        assert not np.shares_memory(p.flat, stack) and not np.shares_memory(p.flat, grad)
-        assert not np.shares_memory(p.flat, params[j].flat)
-        for q in out[j + 1 :]:
-            assert not np.shares_memory(p.flat, q.flat)
+    # every step's parameters are a prefix of the stack, and its gradient a
+    # prefix of the given buffer, which shares no memory with the stack
+    for theta, g in buffers:
+        assert np.shares_memory(theta, stacked.flat) and np.shares_memory(g, grad.flat)
+        assert not np.shares_memory(theta, g)
+    # without a buffer the epoch allocates its own, apart from the stack
+    buffers.clear()
+    nn.run_sgd_epoch(spec, stacked, inputs, labels, LossConfig(), 0.05, 10, rngs)
+    assert all(not np.shares_memory(g, stacked.flat) for _, g in buffers)
 
 
 def test_epoch_in_step_order_returns_the_stack_it_stepped(monkeypatch):
@@ -483,11 +487,10 @@ def test_epoch_in_step_order_returns_the_stack_it_stepped(monkeypatch):
 
     monkeypatch.setattr(nn, "grad_params", recording)
     rngs = [stream(6, 6, j) for j in range(len(sizes))]
-    out, stacked = nn.run_sgd_epoch(spec, params, inputs, labels, LossConfig(), 0.05, 10, rngs)
-    assert np.shares_memory(stacked.flat, stepped[0])  # no second copy of the group
-    for j, p in enumerate(out):
-        assert stacked.flat[j].tobytes() == p.flat.tobytes()
-        assert not np.shares_memory(p.flat, stacked.flat)
+    stacked = stack_params(params)
+    out = nn.run_sgd_epoch(spec, stacked, inputs, labels, LossConfig(), 0.05, 10, rngs)
+    assert out is stacked and stepped[0] is stacked.flat  # stepped in place, no copy
+    assert all(np.shares_memory(theta, stacked.flat) for theta in stepped)
 
 
 def test_cached_views_follow_in_place_updates():
@@ -555,7 +558,7 @@ def test_jvp_equals_the_reference_bitwise(variant, activation, space, k, directi
     count = k or 1
     clients = [nn.init_params(spec, stream(variant, 3, j)) for j in range(count)]
     inputs = rng.standard_normal((count, 10, 32))
-    params = nn.stack_params(clients)
+    params = stack_params(clients)
     if direction == "random":
         directions = rng.standard_normal(params.flat.shape)
     else:  # the engine's direction: a quiz gradient, with exact zeros where relu units are dead
@@ -572,7 +575,7 @@ def _epoch_through_checked_calls(spec, params, inputs, labels, cfg, eta_c, batch
     take one allocating grad_params call on a freshly built, fully checked
     stacked MiniBatch."""
     steps = [x.shape[0] // batch_size for x in inputs]
-    flat = nn.stack_params(params).flat
+    flat = stack_params(params).flat
     perms = [rng.permutation(x.shape[0]) for rng, x, n in zip(rngs, inputs, steps) if n]
     for s in range(steps[0]):
         active = sum(n > s for n in steps)
@@ -596,8 +599,15 @@ def test_prepared_epoch_equals_freshly_checked_calls_bitwise(mode, activation):
     params = [nn.init_params(spec, stream(9, 3, j)) for j in range(len(sizes))]
     inputs = [rng.standard_normal((n, 8)) for n in sizes]
     labels = [rng.integers(0, 5, n) for n in sizes]
-    _, stacked = nn.run_sgd_epoch(
-        spec, params, inputs, labels, cfg, 0.05, 10, [stream(9, 6, j) for j in range(5)]
+    stacked = nn.run_sgd_epoch(
+        spec,
+        stack_params(params),
+        inputs,
+        labels,
+        cfg,
+        0.05,
+        10,
+        [stream(9, 6, j) for j in range(5)],
     )
     expected = _epoch_through_checked_calls(
         spec, params, inputs, labels, cfg, 0.05, 10, [stream(9, 6, j) for j in range(5)]
@@ -608,7 +618,7 @@ def test_prepared_epoch_equals_freshly_checked_calls_bitwise(mode, activation):
 def test_epoch_rejects_bad_labels_and_inputs_before_its_first_step(monkeypatch):
     spec = nn.family_spec(0, 8, 6, 4)
     rng = stream(10, 12)
-    params = [nn.init_params(spec, stream(10, 3, j)) for j in range(2)]
+    params = stack_params([nn.init_params(spec, stream(10, 3, j)) for j in range(2)])
     inputs = [rng.standard_normal((40, 8)), rng.standard_normal((20, 8))]
     labels = [rng.integers(0, 4, 40), rng.integers(0, 4, 20)]
     calls = []
@@ -636,7 +646,7 @@ def test_epoch_rejects_bad_labels_and_inputs_before_its_first_step(monkeypatch):
 def test_jvp_given_the_gradient_forward_equals_its_own_forward(space, activation):
     spec = nn.family_spec(4, 32, 32, 10, activation)
     rng = stream(15, 1)
-    params = nn.stack_params([nn.init_params(spec, stream(15, 3, j)) for j in range(3)])
+    params = stack_params([nn.init_params(spec, stream(15, 3, j)) for j in range(3)])
     batch = MiniBatch(rng.standard_normal((3, 10, 32)), rng.integers(0, 10, (3, 10)))
     cfg = _guide_config(space, spec, rng)
     layers = []
