@@ -56,28 +56,77 @@ def empty_prototypes(class_count: int, dim: int, space: str) -> PrototypeSet:
     )
 
 
-def local_prototypes(
-    study: Dataset, outputs: tuple[np.ndarray, np.ndarray], space: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class mean of the guided outputs over a client's study samples.
+@dataclass(frozen=True)
+class StudyLayout:
+    """Where a group's study rows sit in its members' outputs concatenated
+    in member order, and in those rows gathered by class.
 
-    ``outputs`` are the model's (features, logits) on ``study.inputs``, as
-    ``forward_batch`` returns them. Absent classes get zero rows with count 0.
+    Member j's rows are ``bounds[j]:bounds[j + 1]`` of the concatenation.
+    ``order`` gathers them member by member, and within a member class by
+    class, keeping each class's rows in their study order; ``segments``
+    holds (j * C + class, start, end) of every run of rows it gathers.
+    ``counts`` (k, C) is read-only.
     """
-    if len(study) == 0:
-        raise ContractViolation("study set is empty")
-    if space not in SPACES:
-        raise ContractViolation(f"unknown space {space!r}")
-    features, logits = outputs
-    out = logits if space == "logit" else features
-    if out.shape[0] != len(study):
-        raise ContractViolation(f"{out.shape[0]} output rows for {len(study)} study samples")
-    C = study.class_count
-    vectors = np.zeros((C, out.shape[1]))
-    counts = np.bincount(study.labels, minlength=C)
-    for y in np.flatnonzero(counts):
-        vectors[y] = out[study.labels == y].mean(axis=0)
-    return vectors, counts
+
+    bounds: tuple[int, ...]
+    labels: np.ndarray
+    order: np.ndarray
+    segments: tuple[tuple[int, int, int], ...]
+    counts: np.ndarray
+
+
+def study_layout(studies: Sequence[Dataset]) -> StudyLayout:
+    """The layout of a group's study sets, each non-empty, one class count."""
+    if not studies:
+        raise ContractViolation("study_layout needs at least one study set")
+    C = studies[0].class_count
+    for s in studies:
+        if len(s) == 0:
+            raise ContractViolation("study set is empty")
+        if s.class_count != C:
+            raise ContractViolation("study sets disagree on the class count")
+    k = len(studies)
+    labels = np.concatenate([s.labels for s in studies])
+    bounds = np.cumsum([0] + [len(s) for s in studies])
+    key = np.repeat(np.arange(k) * C, np.diff(bounds)) + labels
+    counts = np.bincount(key, minlength=k * C)
+    starts = np.cumsum(counts) - counts
+    segments = tuple(
+        (int(i), int(starts[i]), int(starts[i] + counts[i])) for i in np.flatnonzero(counts)
+    )
+    counts = counts.reshape(k, C)
+    counts.flags.writeable = False
+    return StudyLayout(
+        tuple(int(b) for b in bounds), labels, np.argsort(key, kind="stable"), segments, counts
+    )
+
+
+def local_prototypes(
+    layout: StudyLayout, outputs: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each group member's per-class mean of its guided outputs over its
+    study samples, with the count backing each class row.
+
+    ``outputs`` are the members' outputs in the guided space, concatenated
+    as ``layout`` says. Each class row is the sum of one contiguous run of
+    the gathered rows divided by its count, which is how ``mean(axis=0)``
+    computes it, so it equals the mean over that class's rows of the
+    member's own outputs bit for bit. Absent classes get zero rows with
+    count 0.
+    """
+    if outputs.shape[0] != layout.labels.shape[0]:
+        raise ContractViolation(
+            f"{outputs.shape[0]} output rows for {layout.labels.shape[0]} study samples"
+        )
+    k, C = layout.counts.shape
+    vectors = np.zeros((k, C, outputs.shape[1]))
+    rows = vectors.reshape(k * C, -1)
+    by_class = outputs[layout.order]
+    for i, start, end in layout.segments:
+        np.add.reduce(by_class[start:end], axis=0, out=rows[i])
+    counts = layout.counts.reshape(-1, 1)
+    np.divide(rows, counts, out=rows, where=counts > 0)
+    return [(vectors[j], layout.counts[j]) for j in range(k)]
 
 
 def aggregate_prototypes(

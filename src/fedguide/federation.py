@@ -35,6 +35,7 @@ from .baselines import (
     empty_prototypes,
     local_prototypes,
     prototype_loss_config,
+    study_layout,
 )
 from .data import (
     ClientDataset,
@@ -55,7 +56,7 @@ from .guidance import (
     init_guiding_vectors,
     server_update,
 )
-from .metrics import ClientScore, RoundMetrics, account_bytes, evaluate, study_cross_entropy
+from .metrics import ClientScore, RoundMetrics, account_bytes, evaluate, study_cross_entropies
 from .nn import (
     ACTIVATIONS,
     LossConfig,
@@ -370,23 +371,31 @@ class _Scratch:
     one, then the pseudo-trained parameters stepped from it); 2, the quiz
     gradient. Groups run one after another, so every plan binds its views
     into the same buffers and memory does not grow with the number of
-    groups. A buffer is allocated when a plan first needs its region."""
+    groups. A buffer is allocated when a plan first needs its region, and
+    each (region, k, P) view is made once, so a rebuilt plan of a shape
+    seen before reuses the block views bound on it."""
 
     def __init__(self, clients: list[ClientState], config: RunConfig):
         k = _participant_count(len(clients), config.rho)  # the largest group
         self.size = max(min(c.rows.shape[0], k) * c.rows.shape[1] for c in clients)
         self.buffers: list[np.ndarray | None] = [None] * 3
+        self.views: dict[tuple[int, int, int], ModelParams] = {}
 
     def view(self, region: int, k: int, p: int) -> ModelParams:
-        if self.buffers[region] is None:
-            self.buffers[region] = np.empty(self.size)
-        return ModelParams(self.buffers[region][: k * p].reshape(k, p))
+        found = self.views.get((region, k, p))
+        if found is None:
+            if self.buffers[region] is None:
+                self.buffers[region] = np.empty(self.size)
+            found = ModelParams(self.buffers[region][: k * p].reshape(k, p))
+            self.views[region, k, p] = found
+        return found
 
 
 class _GroupPlan:
     """What one group keeps across rounds while its members stay the same:
-    the members in epoch order, their rows, the stacked quiz, the
-    telemetry-batch buffers, and scratch views, each bound once.
+    the members in epoch order, their rows, the stacked quiz or the layout
+    of their study sets, the telemetry-batch buffers, and scratch views,
+    each bound once, and the run's streams.
 
     When the members' rows of their spec's array are consecutive, as the
     rows of every client with a full study batch are at rho = 1, the group
@@ -395,12 +404,19 @@ class _GroupPlan:
     """
 
     def __init__(
-        self, config: RunConfig, members: list[ClientState], scratch: _Scratch, round_index: int
+        self,
+        config: RunConfig,
+        members: list[ClientState],
+        scratch: _Scratch,
+        streams: rngmod.RoundStreams,
+        round_index: int,
     ):
         _check_stackable(members, round_index)
+        self.streams = streams
         self.indices = [c.index for c in members]
         members = sorted(members, key=lambda c: c.row)  # most epoch steps first
         self.members = members
+        self.member_indices = [c.index for c in members]
         self.spec = spec = members[0].spec
         k, p = len(members), param_count(spec)
         self.rows = members[0].rows
@@ -418,13 +434,16 @@ class _GroupPlan:
         self.study_labels = [c.data.study.labels for c in members]
         n = min(config.batch_size, len(members[0].data.study))
         self.batch = MiniBatch(np.empty((k, n, spec.input_dim)), np.zeros((k, n), np.int64))
-        self.quiz = None
+        self.quiz = self.study = None
         if config.method in GUIDED_METHODS:
             self.quiz = stack_batches([c.data.quiz for c in members])
+        elif config.method in PROTO_METHODS:
+            self.study = study_layout([c.data.study for c in members])
 
 
 class RoundPlans:
-    """The group plans of one run and the scratch they share.
+    """The group plans of one run, the scratch they share, and the streams
+    its clients draw from each round.
 
     run_training makes one and drops it when it returns; run_round makes a
     throwaway one when it is given none. Stacked calls need equal shapes, so
@@ -437,6 +456,10 @@ class RoundPlans:
         self.clients = clients
         self.config = config
         self.scratch = _Scratch(clients, config)
+        purposes = [rngmod.EPOCH, rngmod.BATCH]
+        if _noisy(config):
+            purposes.append(rngmod.NOISE)
+        self.streams = rngmod.RoundStreams(config.seed, purposes, len(clients), config.rounds)
         self._plans: dict[tuple, _GroupPlan] = {}
         self._participants: list[int] | None = None
         self._groups: list[_GroupPlan] = []
@@ -457,10 +480,31 @@ class RoundPlans:
         for key, members in grouped.items():
             plan = self._plans.get(key)
             if plan is None or plan.indices != [c.index for c in members]:
-                plan = self._plans[key] = _GroupPlan(config, members, self.scratch, round_index)
+                plan = self._plans[key] = _GroupPlan(
+                    config, members, self.scratch, self.streams, round_index
+                )
             plans.append(plan)
         self._participants, self._groups = participants, plans
         return plans
+
+
+def _noisy(config: RunConfig) -> bool:
+    """Whether the clients' uploads get privacy noise."""
+    return config.method in GUIDED_METHODS and config.noise_s > 0 and config.noise_p > 0
+
+
+@contextmanager
+def _computing(plan: _GroupPlan, round_index: int, quantity: str):
+    """Re-raise a failure of the block naming the group's clients, the
+    round and the quantity they were computing."""
+    try:
+        yield
+    except Exception as exc:
+        who = ", ".join(map(str, plan.indices))
+        label = "client" if len(plan.indices) == 1 else "clients"
+        raise ContractViolation(
+            f"{label} {who} failed in round {round_index} computing their {quantity}: {exc}"
+        ) from exc
 
 
 def _group_work(
@@ -472,78 +516,73 @@ def _group_work(
     """All of one round's work for a group: local epoch, telemetry gradient
     and upload, each step one stacked call over the group. Steps the
     members' rows in place and drops the scores of those it stepped."""
-    seed = config.seed
-    spec, members, stack = plan.spec, plan.members, plan.stack
+    spec, members, stack, streams = plan.spec, plan.members, plan.stack, plan.streams
     loss_cfg = _loss_config(config, payload)
     if plan.gather is not None:
         np.take(plan.rows, plan.gather, axis=0, out=stack.flat)
     if config.method not in GUIDED_METHODS or round_index > config.warmup:
-        run_sgd_epoch(
-            spec,
-            stack,
-            plan.study_inputs,
-            plan.study_labels,
-            loss_cfg,
-            config.eta_c,
-            config.batch_size,
-            [rngmod.stream(seed, rngmod.EPOCH, c.index, round_index) for c in members],
-            grad=plan.grad,
-        )
-        if plan.gather is not None and plan.steps[0]:
-            plan.rows[plan.gather] = stack.flat
+        with _computing(plan, round_index, "parameters (local epoch)"):
+            run_sgd_epoch(
+                spec,
+                stack,
+                plan.study_inputs,
+                plan.study_labels,
+                loss_cfg,
+                config.eta_c,
+                config.batch_size,
+                streams.generators(rngmod.EPOCH, plan.member_indices, round_index),
+                grad=plan.grad,
+            )
+            if plan.gather is not None and plan.steps[0]:
+                plan.rows[plan.gather] = stack.flat
         for c, steps in zip(members, plan.steps):
             if steps:
                 c.score = None
-    # Each member draws its study batch from its own BATCH stream; the rows
-    # are gathered straight into the group's stacked batch.
-    batch = plan.batch
-    n = batch.labels.shape[1]
-    for j, c in enumerate(members):
-        s = c.data.study
-        idx = rngmod.stream(seed, rngmod.BATCH, c.index, round_index).choice(
-            len(s), size=n, replace=False
-        )
-        batch.inputs[j], batch.labels[j] = s.inputs[idx], s.labels[idx]
-    study_layers = []  # g's forward pass, which the guidance JVP reuses
-    g = grad_params(spec, stack, batch, loss_cfg, out=plan.grad, layers_out=study_layers)
-    grad_norm_sq = [float(g_c @ g_c) for g_c in g]
 
-    study_ce = [None] * len(members)
-    if config.method in GUIDED_METHODS:
-        # Pseudo-train writes theta' over g, which nothing reads afterwards.
-        uploads = guidance_gradient(
-            spec,
-            stack,
-            batch,
-            plan.quiz,
-            payload,
-            config.eta_c,
-            study_grad=g,
-            study_layers=study_layers,
-            buffers=(plan.grad, plan.direction),
-        )
-        if config.noise_s > 0 and config.noise_p > 0:
-            uploads = [
-                add_privacy_noise(
-                    u,
-                    config.noise_s,
-                    config.noise_p,
-                    rngmod.stream(seed, rngmod.NOISE, c.index, round_index),
-                )
-                for c, u in zip(members, uploads)
-            ]
-    elif config.method in PROTO_METHODS:
-        # One study forward per client serves its prototypes and its study
-        # ce at evaluation. Only the ce is kept: holding every participant's
-        # outputs to the end of the round raises the run's peak memory.
-        uploads = []
-        for j, c in enumerate(members):
+    with _computing(plan, round_index, "upload"):
+        # Each member draws its study batch from its own BATCH stream; the
+        # rows are gathered straight into the group's stacked batch.
+        batch = plan.batch
+        n = batch.labels.shape[1]
+        batch_streams = streams.generators(rngmod.BATCH, plan.member_indices, round_index)
+        for j, (c, gen) in enumerate(zip(members, batch_streams)):
             s = c.data.study
-            outputs = forward_batch(spec, c.params, s.inputs)
-            uploads.append(local_prototypes(s, outputs, config.space))
-            study_ce[j] = study_cross_entropy(spec, c.params, s, outputs)
-    else:  # local-only
-        uploads = [None] * len(members)
+            idx = gen.choice(len(s), size=n, replace=False)
+            batch.inputs[j], batch.labels[j] = s.inputs[idx], s.labels[idx]
+        study_layers = []  # g's forward pass, which the guidance JVP reuses
+        g = grad_params(spec, stack, batch, loss_cfg, out=plan.grad, layers_out=study_layers)
+        grad_norm_sq = [float(g_c @ g_c) for g_c in g]
+
+        study_ce = [None] * len(members)
+        if config.method in GUIDED_METHODS:
+            # Pseudo-train writes theta' over g, which nothing reads afterwards.
+            uploads = guidance_gradient(
+                spec,
+                stack,
+                batch,
+                plan.quiz,
+                payload,
+                config.eta_c,
+                study_grad=g,
+                study_layers=study_layers,
+                buffers=(plan.grad, plan.direction),
+            )
+            if _noisy(config):
+                noise_streams = streams.generators(rngmod.NOISE, plan.member_indices, round_index)
+                uploads = [
+                    add_privacy_noise(u, config.noise_s, config.noise_p, gen)
+                    for u, gen in zip(uploads, noise_streams)
+                ]
+        elif config.method in PROTO_METHODS:
+            # One study forward per client; its prototypes and its study ce
+            # at evaluation are then taken over the group's outputs at once.
+            outputs = [forward_batch(spec, c.params, c.data.study.inputs) for c in members]
+            logits = np.concatenate([l for _, l in outputs])
+            guided = logits if config.space == "logit" else np.concatenate([f for f, _ in outputs])
+            uploads = local_prototypes(plan.study, guided)
+            study_ce = study_cross_entropies(logits, plan.study.labels, plan.study.bounds)
+        else:  # local-only
+            uploads = [None] * len(members)
 
     return [
         _ClientResult(c.index, u, norm, ce)
@@ -567,7 +606,9 @@ def run_round(
     its own. The round runs under a floating-point state that raises on
     overflow, invalid operations and division by zero (not underflow), so
     the first non-finite value stops it with an error that names the round
-    and the clients, the server update or the evaluation it arose in.
+    and where it arose: the clients and the quantity they were computing
+    (their parameters in the local epoch, or their upload), the server
+    update's payload, or the evaluation.
     """
     start = time.perf_counter()
     round_index = server.t + 1
@@ -580,14 +621,7 @@ def run_round(
     with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
         results: list[_ClientResult] = []
         for plan in groups:
-            try:
-                results += _group_work(config, server.payload, plan, round_index)
-            except Exception as exc:
-                who = ", ".join(map(str, plan.indices))
-                label = "client" if len(plan.indices) == 1 else "clients"
-                raise ContractViolation(
-                    f"{label} {who} failed in round {round_index}: {exc}"
-                ) from exc
+            results += _group_work(config, server.payload, plan, round_index)
         results.sort(key=lambda r: r.index)
 
         # Deterministic reduction in ascending client order.
@@ -604,7 +638,7 @@ def run_round(
                 payload = aggregate_prototypes(locals_, config.space)
         except Exception as exc:
             raise ContractViolation(
-                f"server update failed in round {round_index}: {exc}"
+                f"server update failed in round {round_index} computing the payload: {exc}"
             ) from exc
 
         upload_bytes, download_bytes = account_bytes(

@@ -43,15 +43,8 @@ class ClientScore:
     study_ce: float
 
 
-def study_cross_entropy(
-    spec: ModelSpec,
-    params: ModelParams,
-    study: Dataset,
-    outputs: tuple[np.ndarray, np.ndarray] | None = None,
-) -> float:
-    """Mean cross-entropy of a client model over its study set; ``outputs``,
-    when given, are ``forward_batch(spec, params, study.inputs)`` already
-    computed by the caller, used as is.
+def study_cross_entropy(spec: ModelSpec, params: ModelParams, study: Dataset) -> float:
+    """Mean cross-entropy of a client model over its study set.
 
     A Dataset checks its labels against its own class count when it is
     built, so they are checked again only when that count exceeds the
@@ -61,9 +54,24 @@ def study_cross_entropy(
         raise ContractViolation("study set is empty")
     if study.class_count > spec.class_count:
         nn._check_labels(study.labels, spec.class_count)
-    if outputs is None:
-        outputs = nn.forward_batch(spec, params, study.inputs)
-    return float(nn._ce_rows(outputs[1], study.labels).mean())
+    _, logits = nn.forward_batch(spec, params, study.inputs)
+    return float(nn._ce_rows(logits, study.labels).mean())
+
+
+def study_cross_entropies(
+    logits: np.ndarray, labels: np.ndarray, bounds: Sequence[int]
+) -> list[float]:
+    """``study_cross_entropy`` of each member of a group, from the members'
+    study logits and labels concatenated in member order, member j's rows
+    at ``bounds[j]:bounds[j + 1]``. The labels must index the logits'
+    columns, as in a run, where every Dataset's class count is the models'.
+
+    The per-row losses are one pass over every row; each member's figure is
+    the mean of its own contiguous slice, equal to its own figure bit for
+    bit.
+    """
+    ce = nn._ce_rows(logits, labels)
+    return [float(ce[a:b].mean()) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def score_client(

@@ -118,9 +118,6 @@ class ModelParams:
     _views: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _prefixes: dict | None = field(default=None, init=False, repr=False, compare=False)
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.flat.copy())
-
     def blocks(self, spec: "ModelSpec") -> list[tuple[np.ndarray, ...]]:
         """(W, W^T, b, b as a row) views of every affine block of ``flat``,
         built once per object (see _bound_views)."""
@@ -315,22 +312,10 @@ def _check_labels(labels: np.ndarray, class_count: int):
         raise ContractViolation(f"labels out of range [0, {class_count})")
 
 
-def total_loss(
-    spec: ModelSpec,
-    params: ModelParams,
-    batch: MiniBatch,
-    cfg: LossConfig,
-    outputs: tuple[np.ndarray, np.ndarray] | None = None,
-) -> float:
-    """Mean combined loss of ``cfg`` over the batch.
-
-    ``outputs``, when given, are ``forward_batch(spec, params, batch.inputs)``
-    already computed by the caller; they are used as is.
-    """
+def total_loss(spec: ModelSpec, params: ModelParams, batch: MiniBatch, cfg: LossConfig) -> float:
+    """Mean combined loss of ``cfg`` over the batch."""
     _check_labels(batch.labels, spec.class_count)
-    if outputs is None:
-        outputs = forward_batch(spec, params, batch.inputs)
-    features, logits = outputs
+    features, logits = forward_batch(spec, params, batch.inputs)
     n = len(batch)
     loss = 0.0
     if cfg.use_ce:

@@ -6,11 +6,22 @@ client/round it belongs to. No stream carries state from one draw site to
 the next, so results do not depend on the order in which clients are
 stepped, and a run resumed at round t draws exactly the numbers an
 uninterrupted run would.
+
+``stream`` builds one generator through ``np.random.SeedSequence``.
+``RoundStreams`` gives the same generators, bit for bit, for the streams a
+run draws per client and round: it derives their seed words a block of
+rounds at a time with ``seed_words``, numpy's SeedSequence mixing done on
+whole columns of keys, and seeds each ``PCG64`` from its precomputed words.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
+
+from .errors import ContractViolation
 
 # Stream purpose tags; (seed, tag, *indices) names one independent stream.
 DATA = 0
@@ -27,3 +38,149 @@ NOISE = 8
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Return an independent generator keyed by (seed, *path)."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=path))
+
+
+# numpy.random.SeedSequence's pool size and hash constants. Its arithmetic is
+# on uint32 words, which numpy arrays wrap modulo 2**32 as C does.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def _int_words(value: int) -> list[int]:
+    """A non-negative integer as little-endian 32-bit words ([0] for 0)."""
+    words = []
+    while True:
+        words.append(value & _MASK32)
+        value >>= 32
+        if not value:
+            return words
+
+
+def seed_words(seed: int, keys: np.ndarray) -> np.ndarray:
+    """The (m, 4) uint64 words that
+    ``SeedSequence(entropy=seed, spawn_key=keys[i]).generate_state(4, np.uint64)``
+    gives for each row of the (m, w) key array, w >= 1 and every key below
+    2**32.
+
+    The entropy is the seed's words, padded with zeros to the pool size,
+    then the key's words. The hash constant advances by the same sequence
+    for every row, so each mixing step is one array operation over the
+    rows: the seed's words mix into a pool shared by all rows, and the key
+    columns mix in after them.
+    """
+    keys = np.asarray(keys)
+    if keys.ndim != 2 or keys.shape[1] < 1 or (
+        keys.size and (keys.min() < 0 or keys.max() > _MASK32)
+    ):
+        raise ContractViolation(
+            f"keys must be an (m, w >= 1) array of 32-bit words, got shape {keys.shape}"
+        )
+    if seed < 0:
+        raise ContractViolation(f"seed must be >= 0, got {seed}")
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> _XSHIFT)
+
+    words = _int_words(seed)
+    entropy = [np.array([w], np.uint32) for w in words]
+    entropy += [np.zeros(1, np.uint32)] * (_POOL_SIZE - len(words))
+    entropy += [np.ascontiguousarray(keys[:, j], np.uint32) for j in range(keys.shape[1])]
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    out = np.empty((keys.shape[0], 4), np.uint64)
+    for i in range(2 * out.shape[1]):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * hash_const
+        value = (value ^ (value >> _XSHIFT)).astype(np.uint64)
+        if i % 2:
+            out[:, i // 2] |= value << np.uint64(32)
+        else:
+            out[:, i // 2] = value
+    return out
+
+
+class _StateWords(ISeedSequence):
+    """A SeedSequence whose PCG64 state words are already derived."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self.words) or dtype is not np.uint64:
+            raise ContractViolation(f"holds {len(self.words)} uint64 words, not {n_words} {dtype}")
+        return self.words
+
+
+# Streams whose words RoundStreams derives at once: 128 KB of words, and
+# about 0.2 ms per block.
+_BLOCK_STREAMS = 4096
+
+
+class RoundStreams:
+    """Generators keyed by (seed, purpose, client, round) for a run's
+    per-client, per-round purposes, each equal, bit for bit, to
+    ``stream(seed, purpose, client, round)``.
+
+    The seed words of every client's streams are derived for a block of
+    rounds at once, starting at the first round asked for that the held
+    block lacks, and at most ``_BLOCK_STREAMS`` streams (or one round's) at
+    a time, so memory does not grow with the number of rounds. Blocks are
+    keyed by absolute round, so a resumed run gets the same streams.
+    """
+
+    def __init__(self, seed: int, purposes: Sequence[int], n_clients: int, last_round: int):
+        self.seed = seed
+        self.purposes = tuple(purposes)
+        self.n_clients = n_clients
+        self.last_round = last_round
+        self.block_rounds = max(1, _BLOCK_STREAMS // (len(self.purposes) * n_clients))
+        self._slot = {p: i for i, p in enumerate(self.purposes)}
+        self._first = 0
+        self._words = np.empty((0, len(self.purposes), n_clients, 4), np.uint64)
+
+    def _derive(self, round_index: int):
+        if not 1 <= round_index <= self.last_round:
+            raise ContractViolation(f"round {round_index} is outside 1..{self.last_round}")
+        rounds = np.arange(
+            round_index, min(round_index + self.block_rounds, self.last_round + 1)
+        )
+        shape = (len(rounds), len(self.purposes), self.n_clients)
+        keys = np.empty(shape + (3,), np.uint32)
+        keys[..., 0] = np.array(self.purposes)[:, None]
+        keys[..., 1] = np.arange(self.n_clients)
+        keys[..., 2] = rounds[:, None, None]
+        self._words = seed_words(self.seed, keys.reshape(-1, 3)).reshape(shape + (4,))
+        self._first = round_index
+
+    def generators(self, purpose: int, clients: Sequence[int], round_index: int) -> list:
+        """The generators of ``clients`` (in that order) for one purpose and round."""
+        r = round_index - self._first
+        if not 0 <= r < self._words.shape[0]:
+            self._derive(round_index)
+            r = 0
+        words = self._words[r, self._slot[purpose]]
+        return [np.random.Generator(np.random.PCG64(_StateWords(words[i]))) for i in clients]

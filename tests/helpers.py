@@ -33,6 +33,20 @@ def small_config(method="fedl2g-f", **kwargs) -> RunConfig:
     return RunConfig(**defaults)
 
 
+def client_prototypes(study, outputs, space):
+    """Reference per-client prototypes: the per-class mean of the guided
+    outputs over one client's study samples, one mask per class; absent
+    classes get zero rows with count 0."""
+    features, logits = outputs
+    out = logits if space == "logit" else features
+    C = study.class_count
+    vectors = np.zeros((C, out.shape[1]))
+    counts = np.bincount(study.labels, minlength=C)
+    for y in np.flatnonzero(counts):
+        vectors[y] = out[study.labels == y].mean(axis=0)
+    return vectors, counts
+
+
 def stack_params(params) -> ModelParams:
     """Same-spec clients' parameters as one (k, P) stack (a copy)."""
     return ModelParams(np.stack([p.flat for p in params]))
@@ -48,7 +62,7 @@ def fd_grad_params(
     """Central-difference gradient of total_loss w.r.t. every parameter."""
     out = np.zeros_like(params.flat)
     for j in range(out.shape[0]):
-        hi, lo = params.copy(), params.copy()
+        hi, lo = ModelParams(params.flat.copy()), ModelParams(params.flat.copy())
         hi.flat[j] += step
         lo.flat[j] -= step
         out[j] = (

@@ -11,14 +11,16 @@ from fedguide.baselines import (
     empty_prototypes,
     local_prototypes,
     prototype_loss_config,
+    study_layout,
 )
 from fedguide.data import Dataset
 from fedguide.errors import ContractViolation
 from fedguide.guidance import GuidingVectorSet, guided_loss_config
+from fedguide.metrics import study_cross_entropies, study_cross_entropy
 from fedguide.nn import LossConfig, MiniBatch, ModelSpec
 from fedguide.rng import stream
 
-from helpers import random_instance, stack_params
+from helpers import client_prototypes, random_instance, stack_params
 
 
 def baseline_client_loss(spec, params, batch, pset):
@@ -31,11 +33,18 @@ def make_study(seed, n=12, c=3, d=4):
     return Dataset(rng.standard_normal((n, d)), rng.integers(0, c, n), c)
 
 
+def one_client_prototypes(study, outputs, space):
+    """local_prototypes of a one-member group."""
+    features, logits = outputs
+    [local] = local_prototypes(study_layout([study]), logits if space == "logit" else features)
+    return local
+
+
 def test_local_prototypes_single_sample_row():
     spec, params, batch, _ = random_instance(0)
     study = Dataset(batch.inputs[:1], np.array([1]), 3)
     features, logits = nn.forward_batch(spec, params, study.inputs)
-    vectors, counts = local_prototypes(study, (features, logits), "feature")
+    vectors, counts = one_client_prototypes(study, (features, logits), "feature")
     assert np.allclose(vectors[1], features[0])
     assert counts.tolist() == [0, 1, 0]
     assert np.array_equal(vectors[0], np.zeros(spec.feature_dim))
@@ -45,8 +54,8 @@ def test_local_prototypes_duplicates_collapse():
     spec, params, batch, _ = random_instance(1)
     one = Dataset(batch.inputs[:1], np.array([0]), 3)
     two = Dataset(np.tile(batch.inputs[:1], (2, 1)), np.array([0, 0]), 3)
-    v1, c1 = local_prototypes(one, nn.forward_batch(spec, params, one.inputs), "logit")
-    v2, c2 = local_prototypes(two, nn.forward_batch(spec, params, two.inputs), "logit")
+    v1, c1 = one_client_prototypes(one, nn.forward_batch(spec, params, one.inputs), "logit")
+    v2, c2 = one_client_prototypes(two, nn.forward_batch(spec, params, two.inputs), "logit")
     assert np.allclose(v1[0], v2[0])
     assert c1[0] == 1 and c2[0] == 2
 
@@ -55,13 +64,54 @@ def test_local_prototypes_rejects_outputs_of_other_rows():
     spec, params, batch, _ = random_instance(1)
     study = Dataset(batch.inputs[:2], np.array([0, 1]), 3)
     with pytest.raises(ContractViolation, match="output rows"):
-        local_prototypes(study, nn.forward_batch(spec, params, batch.inputs[:3]), "feature")
+        one_client_prototypes(study, nn.forward_batch(spec, params, batch.inputs[:3]), "feature")
+
+
+@pytest.mark.parametrize("space", nn.SPACES)
+def test_group_prototypes_and_study_ce_equal_each_client_alone(space):
+    # members of unequal size: a single-sample class, a class only one
+    # member has, a class no member has (class 4), and a one-row member
+    spec, params, _, rng = random_instance(4, class_count=5)
+    labels = [
+        np.array([0, 1, 1, 0, 2, 0, 1, 1, 3]),
+        np.array([3]),
+        np.array([2, 2, 0, 1, 2, 2]),
+    ]
+    studies = [Dataset(rng.standard_normal((len(y), 4)), y, 5) for y in labels]
+    outputs = [nn.forward_batch(spec, params, s.inputs) for s in studies]
+    features, logits = (np.concatenate(part) for part in zip(*outputs))
+    layout = study_layout(studies)
+    group = local_prototypes(layout, logits if space == "logit" else features)
+    ces = study_cross_entropies(logits, layout.labels, layout.bounds)
+    for study, out, (vectors, counts), ce in zip(studies, outputs, group, ces):
+        ref_vectors, ref_counts = client_prototypes(study, out, space)
+        assert vectors.tobytes() == ref_vectors.tobytes()
+        assert np.array_equal(counts, ref_counts)
+        assert ce == study_cross_entropy(spec, params, study)
+    assert not any(counts[4] for _, counts in group)
+    with pytest.raises(ValueError):
+        layout.counts[0, 0] = 1  # shared by every round's uploads
+
+
+def test_group_of_one_member_equals_it_alone():
+    spec, params, _, _ = random_instance(5)
+    study = make_study(6)
+    out = nn.forward_batch(spec, params, study.inputs)
+    vectors, counts = one_client_prototypes(study, out, "feature")
+    ref_vectors, ref_counts = client_prototypes(study, out, "feature")
+    assert vectors.tobytes() == ref_vectors.tobytes() and np.array_equal(counts, ref_counts)
+
+
+def test_study_layout_rejects_an_empty_study_set():
+    empty = Dataset(np.zeros((0, 4)), np.zeros(0, np.int64), 3)
+    with pytest.raises(ContractViolation, match="study set is empty"):
+        study_layout([make_study(1), empty])
 
 
 def test_aggregate_single_client_identity():
     spec, params, _, _ = random_instance(2)
     study = make_study(3)
-    local = local_prototypes(study, nn.forward_batch(spec, params, study.inputs), "feature")
+    local = one_client_prototypes(study, nn.forward_batch(spec, params, study.inputs), "feature")
     agg = aggregate_prototypes([local], "feature")
     assert np.allclose(agg.vectors[agg.valid], local[0][local[1] > 0])
     assert np.array_equal(agg.counts, local[1])

@@ -437,14 +437,18 @@ def test_non_finite_float_options_are_rejected(
 
 def test_a_diverging_run_stops_at_its_first_overflow_with_a_marker(tmp_path, capsys):
     # fedl2g-f at seed 1 with a 30x feature-space server step: the guiding
-    # vectors grow until four clients' matmuls overflow in round 54
+    # vectors grow until four clients' matmuls overflow in round 54, in the
+    # local epoch that steps their parameters
     out = tmp_path / "out"
     argv = ["run", "--method", "fedl2g-f", "--seed", "1", "--eta-s-scale", "30", "--out", str(out)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv) == 1
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    expected = "clients 0, 5, 10, 15 failed in round 54: overflow encountered in matmul"
+    expected = (
+        "clients 0, 5, 10, 15 failed in round 54 computing their parameters (local epoch): "
+        "overflow encountered in matmul"
+    )
     assert expected in (out / "FAILED.txt").read_text()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and expected in err

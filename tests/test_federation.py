@@ -342,7 +342,9 @@ def test_error_in_a_stacked_call_names_every_client_of_the_group(monkeypatch):
 
     monkeypatch.setattr(federation, "guidance_gradient", failing)
     cfg = small_config(rounds=1, warmup=0)
-    with pytest.raises(ContractViolation, match=r"clients 0, 5 failed in round 1: boom"):
+    with pytest.raises(
+        ContractViolation, match=r"clients 0, 5 failed in round 1 computing their upload: boom"
+    ):
         run_round(build_server(cfg), build_clients(cfg), cfg)
 
 
@@ -468,6 +470,47 @@ def test_server_side_errors_name_the_round_and_the_server_update(monkeypatch):
     monkeypatch.setattr(federation, "server_update", overflowing)
     cfg = small_config(rounds=1, warmup=0)
     with pytest.raises(
-        ContractViolation, match=r"^server update failed in round 1: overflow encountered"
+        ContractViolation,
+        match=r"^server update failed in round 1 computing the payload: overflow encountered",
     ):
         run_round(build_server(cfg), build_clients(cfg), cfg)
+
+
+def test_evaluation_errors_name_the_round_and_the_evaluation(monkeypatch):
+    def overflowing(*args, **kwargs):
+        return np.float64(1e308) * 10.0  # raises under the round's error state
+
+    monkeypatch.setattr(federation, "evaluate", overflowing)
+    cfg = small_config(rounds=1, warmup=0)
+    with pytest.raises(
+        ContractViolation, match=r"^evaluation failed in round 1: overflow encountered"
+    ):
+        run_round(build_server(cfg), build_clients(cfg), cfg)
+
+
+def test_error_in_the_local_epoch_names_the_clients_parameters(monkeypatch):
+    def overflowing(*args, **kwargs):
+        raise FloatingPointError("overflow encountered in matmul")
+
+    monkeypatch.setattr(federation, "run_sgd_epoch", overflowing)
+    cfg = small_config("fedproto", rounds=1, warmup=0)
+    with pytest.raises(
+        ContractViolation,
+        match=r"^clients 0, 5 failed in round 1 computing their parameters \(local epoch\): "
+        r"overflow encountered in matmul$",
+    ):
+        run_round(build_server(cfg), build_clients(cfg), cfg)
+
+
+def test_rebuilt_plan_of_a_seen_group_size_reuses_its_scratch_views():
+    # under rho < 1 a key's members change from round to round; each time
+    # its plan is rebuilt, and a size seen before binds no new views
+    cfg = small_config(rho=0.5)
+    plans = federation.RoundPlans(build_clients(cfg), cfg)
+    [first] = plans.groups([0, 5], 1)
+    [alone] = plans.groups([0], 2)
+    [again] = plans.groups([0, 5], 3)
+    assert again is not first and again.indices == first.indices
+    assert again.grad is first.grad and again.direction is first.direction
+    assert alone.grad is not first.grad
+    assert alone.grad is plans.groups([5], 4)[0].grad

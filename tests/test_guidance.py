@@ -20,7 +20,7 @@ from fedguide.guidance import (
     pseudo_train,
     server_update,
 )
-from fedguide.nn import LossConfig, MiniBatch, ModelSpec
+from fedguide.nn import LossConfig, MiniBatch, ModelParams, ModelSpec
 from fedguide.rng import stream
 
 from helpers import (
@@ -209,7 +209,7 @@ def test_stage_two_jvps_invariant_to_head_perturbation():
     # quiz direction; the study-batch Jacobians themselves must not move
     spec, params, batch, quiz, gset, rng = make_instance(9, "feature")
     direction = rng.standard_normal(params.flat.shape[0])
-    perturbed = params.copy()
+    perturbed = ModelParams(params.flat.copy())
     _, extractor_end = nn._layout(spec)
     perturbed.flat[extractor_end:] += rng.standard_normal(params.flat.shape[0] - extractor_end)
     jv = nn.jvp_guided_batch(spec, params, batch.inputs, direction, "feature")

@@ -1,19 +1,36 @@
 """Property tests for the invariant every stacked-kernel speed-up rests on:
 a slice of a stacked call equals the unstacked call on that client, bit for
 bit, at any shape, and an epoch stepped in place on rows of a larger array
-equals each client stepped alone. Examples are drawn deterministically
-(``derandomize=True``) and their number is fixed, so the suite stays
-repeatable and bounded."""
+equals each client stepped alone. Then the set-up and persistence
+contracts: client splits, partitions, checkpoints and option precedence.
+Examples are drawn deterministically (``derandomize=True``) and their
+number is fixed, so the suite stays repeatable and bounded."""
+
+import json
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedguide import nn
+from fedguide import cli, nn
+from fedguide.data import Dataset, partition_dirichlet, partition_pathological, split_client
+from fedguide.errors import CheckpointError, PartitionError
+from fedguide.federation import (
+    ServerState,
+    build_clients,
+    build_server,
+    load_checkpoint,
+    run_training,
+    save_checkpoint,
+)
 from fedguide.nn import LossConfig, MiniBatch, ModelParams, ModelSpec
 from fedguide.rng import stream
 
-from helpers import stack_params
+from helpers import small_config, stack_params
 
 SETTINGS = settings(
     derandomize=True,
@@ -115,3 +132,223 @@ def test_epoch_in_place_on_a_row_slice_equals_each_client_alone(problem, batch_s
         assert rows[offset + j].tobytes() == alone.flat[0].tobytes(), j
     outside = np.r_[0:offset, offset + k : len(rows)]
     assert rows[outside].tobytes() == before[outside].tobytes()
+
+
+def largest_remainder_reference(counts: list[int], total: int) -> list[int]:
+    """Shares of ``total`` in proportion to ``counts``: floors first, then one
+    more to each of the largest fractional parts, ties to the lower index."""
+    whole = sum(counts)
+    raw = [c * total / whole for c in counts]
+    out = [int(np.floor(r)) for r in raw]
+    by_fraction = sorted(range(len(raw)), key=lambda i: (-(raw[i] - out[i]), i))
+    for i in by_fraction[: total - sum(out)]:
+        out[i] += 1
+    return out
+
+
+SETUP_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+@SETUP_SETTINGS
+@given(
+    st.integers(14, 120),
+    st.integers(2, 8),
+    st.integers(1, 10),
+    st.sampled_from([0.1, 0.25, 0.5]),
+    st.integers(0, 2**16),
+)
+def test_split_is_disjoint_covers_the_shard_and_quizzes_in_proportion(
+    n, class_count, quiz_size, test_fraction, seed
+):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, class_count, n)
+    inputs = np.arange(n, dtype=np.float64)[:, None]  # each row carries its index
+    try:
+        split = split_client(Dataset(inputs, labels, class_count), test_fraction, quiz_size, seed)
+    except PartitionError:
+        assert n - max(1, int(n * test_fraction)) < quiz_size + 1
+        return
+    parts = [split.study.inputs[:, 0], split.quiz.inputs[:, 0], split.test.inputs[:, 0]]
+    ids = np.concatenate(parts).astype(np.int64)
+    assert sorted(ids) == list(range(n))
+    for part, part_labels in zip(parts, [split.study.labels, split.quiz.labels, split.test.labels]):
+        assert np.array_equal(labels[part.astype(np.int64)], part_labels)
+    assert len(split.test) == max(1, int(n * test_fraction))
+    train = np.bincount(np.concatenate([split.study.labels, split.quiz.labels]), minlength=class_count)
+    present = [y for y in range(class_count) if train[y]]
+    expected = largest_remainder_reference([int(train[y]) for y in present], quiz_size)
+    quiz = np.bincount(split.quiz.labels, minlength=class_count)
+    assert [int(quiz[y]) for y in present] == expected
+
+
+@SETUP_SETTINGS
+@given(
+    st.sampled_from(["dirichlet", "pathological"]),
+    st.integers(2, 10),
+    st.integers(2, 6),
+    st.integers(5, 40),
+    st.integers(0, 60),
+    st.integers(0, 2**16),
+)
+def test_partition_meets_its_minimum_or_raises(scheme, n_clients, class_count, per_class, minimum, seed):
+    labels = np.repeat(np.arange(class_count), per_class)
+    ds = Dataset(np.zeros((labels.shape[0], 1)), labels, class_count)
+    try:
+        if scheme == "dirichlet":
+            plan = partition_dirichlet(ds, n_clients, 0.5, seed, minimum, max_retries=5)
+        else:
+            cpc = min(class_count, 2)
+            if n_clients * cpc < class_count:
+                return
+            plan = partition_pathological(ds, n_clients, cpc, seed, minimum, max_retries=5)
+    except PartitionError as exc:
+        assert f"min_per_client={minimum}" in str(exc)
+        return
+    sizes = plan.client_sizes()
+    assert sizes.sum() == len(ds) and sizes.min() >= minimum
+    assert sorted(np.concatenate(plan.shards())) == list(range(len(ds)))
+
+
+CHECKPOINT_CONFIG = small_config("fedproto", rounds=3)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes():
+    """A checkpoint of a short fedproto run, which has a payload of each
+    section (counts and vectors) and every client's parameters."""
+    result = run_training(CHECKPOINT_CONFIG)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "ckpt")
+        save_checkpoint(path, CHECKPOINT_CONFIG, result.server, result.clients)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@settings(
+    derandomize=True,
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_truncated_checkpoint_raises_checkpoint_error(checkpoint_bytes, data):
+    cut = data.draw(st.integers(0, len(checkpoint_bytes) - 1))
+    clients = build_clients(CHECKPOINT_CONFIG)
+    before = [c.params.flat.copy() for c in clients]
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "ckpt")
+        with open(path, "wb") as fh:
+            fh.write(checkpoint_bytes[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path, CHECKPOINT_CONFIG, clients)
+    assert all(np.array_equal(c.params.flat, b) for c, b in zip(clients, before))
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(
+    st.sampled_from(["fedl2g-l", "fedl2g-f", "fedproto", "local-only"]),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 8),
+    st.one_of(st.just(np.inf), st.floats(0, 10)),
+)
+def test_checkpoint_round_trips(method, seed, t, min_ce):
+    cfg = small_config(method, seed=seed % 50, rounds=8)
+    clients = build_clients(cfg)
+    rng = np.random.default_rng(seed)
+    for c in clients:
+        c.params.flat[...] = rng.standard_normal(c.params.flat.shape)
+    payload = build_server(cfg).payload
+    if payload is not None:
+        payload.vectors[...] = rng.standard_normal(payload.vectors.shape)
+        if hasattr(payload, "counts"):
+            payload.counts[...] = rng.integers(0, 5, payload.counts.shape)
+    server = ServerState(cfg.seed, method, t, payload, min_ce)
+    restored = build_clients(cfg)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "ckpt")
+        save_checkpoint(path, cfg, server, clients)
+        loaded = load_checkpoint(path, cfg, restored)
+    assert (loaded.seed, loaded.method, loaded.t, loaded.min_ce) == (cfg.seed, method, t, min_ce)
+    assert all(a.params.flat.tobytes() == b.params.flat.tobytes() for a, b in zip(clients, restored))
+    if payload is None:
+        assert loaded.payload is None
+    else:
+        assert loaded.payload.vectors.tobytes() == payload.vectors.tobytes()
+        assert getattr(loaded.payload, "version", 0) == getattr(payload, "version", 0)
+        assert np.array_equal(getattr(loaded.payload, "counts", 0), getattr(payload, "counts", 0))
+
+
+# Per option: the winning value, the value every lower source gets, and
+# how to read the result. The winner differs from the default, so a result
+# equal to it shows that the winning source, and no other, was read.
+PRECEDENCE = {
+    "method": ("fedproto", "feddistill", lambda e: e.run.method),
+    "clients": ("10", "12", lambda e: e.run.n_clients),
+    "rho": ("0.5", "0.25", lambda e: e.run.rho),
+    "rounds": ("100", "120", lambda e: e.run.rounds),
+    "warmup": ("10", "20", lambda e: e.run.warmup),
+    "eta_c": ("0.05", "0.02", lambda e: e.run.eta_c),
+    "eta_s": ("0.5", "0.25", lambda e: e.run.eta_s),
+    "eta_s_scale": ("0.25", "2", lambda e: e.run.eta_s_scale),
+    "batch_size": ("20", "30", lambda e: e.run.batch_size),
+    "quiz_size": ("5", "6", lambda e: e.run.quiz_size),
+    "feature_dim": ("16", "8", lambda e: e.run.feature_dim),
+    "activation": ("tanh", "relu", lambda e: e.run.activation),
+    "workers": ("3", "2", lambda e: e.run.workers),
+    "eval_every": ("5", "2", lambda e: e.run.eval_every),
+    "partition": (
+        "pathological:3",
+        "dirichlet:0.5",
+        lambda e: (e.run.task.partition, e.run.task.classes_per_client, e.run.task.beta),
+    ),
+    "noise": ("0.05:0.2", "0.1:0.3", lambda e: (e.run.noise_s, e.run.noise_p)),
+    "seed": ("4,5", "7", lambda e: e.seeds),
+    "out": ("here", "there", lambda e: e.out_dir),
+    "data": ("a.csv", "b.csv", lambda e: e.run.task.source),
+    "class_count": ("5", "8", lambda e: e.run.task.class_count),
+    "input_dim": ("16", "8", lambda e: e.run.task.input_dim),
+    "samples_per_class": ("100", "150", lambda e: e.run.task.samples_per_class),
+    "cluster_spread": ("0.5", "0.25", lambda e: e.run.task.cluster_spread),
+    "test_fraction": ("0.3", "0.4", lambda e: e.run.task.test_fraction),
+}
+SOURCES = ("file", "env", "flag")  # by increasing precedence
+
+
+def _parse(sources: dict[str, dict[str, str]]) -> cli.ExperimentConfig:
+    argv = [a for k, v in sources["flag"].items() for a in ("--" + k.replace("_", "-"), v)]
+    env = {cli.ENV_PREFIX + k.upper(): v for k, v in sources["env"].items()}
+    clean = {k: v for k, v in os.environ.items() if not k.startswith(cli.ENV_PREFIX)}
+    with tempfile.TemporaryDirectory() as d, mock.patch.dict(os.environ, {**clean, **env}, clear=True):
+        if sources["file"]:
+            path = os.path.join(d, "cfg.json")
+            with open(path, "w") as fh:
+                json.dump(sources["file"], fh)
+            argv = ["--config", path] + argv
+        return cli.parse_config(argv)
+
+
+def test_precedence_table_covers_every_option():
+    assert set(PRECEDENCE) == set(cli._OPTIONS)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.fixed_dictionaries({k: st.sets(st.sampled_from(SOURCES)) for k in PRECEDENCE}))
+def test_option_precedence_is_default_file_env_flag(present):
+    sources = {s: {} for s in SOURCES}
+    for key, given_in in present.items():
+        winner, loser, _ = PRECEDENCE[key]
+        for source in given_in:
+            sources[source][key] = loser
+        if given_in:
+            sources[max(given_in, key=SOURCES.index)][key] = winner
+    parsed = _parse(sources)
+    default = _parse({s: {} for s in SOURCES})
+    only_winner = {s: {} for s in SOURCES}
+    for key, given_in in present.items():
+        winner, _, read = PRECEDENCE[key]
+        if given_in:
+            only_winner["flag"][key] = winner
+            assert read(parsed) != read(default), key
+    expected = _parse(only_winner)
+    for key, (_, _, read) in PRECEDENCE.items():
+        assert read(parsed) == read(expected), key

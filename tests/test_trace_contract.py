@@ -47,6 +47,25 @@ KERNEL_CALLS = {
     "local-only": {"grad_params": 96, "forward_batch": 48, "jvp_guided_batch": 0},
 }
 
+# rng.stream calls of small_config(rounds=4) by purpose, the same for every
+# method: the one-off set-up and participation draws go through the traced
+# name, while the per-client EPOCH and BATCH (and NOISE) streams come from
+# the run's precomputed table. A count that moves shows that a draw was
+# routed around the traced name, or back through it.
+STREAM_CALLS = {
+    "DATA": 1,
+    "PARTITION": 1,
+    "SPLIT": 6,
+    "MODEL_INIT": 6,
+    "PARTICIPATION": 4,
+    "EPOCH": 0,
+    "BATCH": 0,
+}
+
+# local_prototypes calls of small_config(rounds=4): one per group and round,
+# five groups of six clients (clients 0 and 5 share an architecture).
+PROTOTYPE_CALLS = {"fedproto": 20, "feddistill": 20}
+
 
 @pytest.mark.parametrize("method", METHODS)
 def test_traced_run_calls_every_traced_layer(method):
@@ -75,6 +94,11 @@ def test_traced_run_calls_every_traced_layer(method):
         assert metrics[f"{name}.calls"] > 0, name
     calls = {k: metrics[f"nn.{k}.calls"] for k in KERNEL_CALLS[method]}
     assert calls == KERNEL_CALLS[method]
+    streams = {k: metrics[f"rng.stream.{k}.calls"] for k in STREAM_CALLS}
+    assert streams == STREAM_CALLS
+    guide_init = 1 if method in GUIDED_METHODS else 0
+    assert metrics["rng.stream.calls"] == sum(STREAM_CALLS.values()) + guide_init
+    assert metrics["baselines.local_prototypes.calls"] == PROTOTYPE_CALLS.get(method, 0)
     # Both passes see the same gradient calls, and every epoch's SGD steps
     # reach the traced name inside its span: a bypassed kernel fails here
     # instead of ending the benchmark's traced run without its result.
