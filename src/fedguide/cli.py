@@ -76,8 +76,8 @@ def _parse_noise(value) -> tuple[float, float]:
 
 
 def _parse_int(value) -> int:
-    """An integer option: a config file's 2.7 or true is an error, not 2 or 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    """An integer option: a config file's 2.7 is an error, not 2."""
+    if not isinstance(value, (int, str)):
         raise TypeError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -183,6 +183,8 @@ def _collect_options(args: argparse.Namespace) -> dict:
     parsed = {}
     for key, value in merged.items():
         try:
+            if isinstance(value, bool):  # a config file's true is no option's value
+                raise TypeError
             parsed[key] = _OPTIONS[key].parse(value)
         except (TypeError, ValueError):
             raise ConfigError(f"{key}: cannot parse {value!r}") from None

@@ -47,9 +47,7 @@ class PartitionPlan:
     """Sample-to-client assignment produced by one of the partitioners."""
 
     assignment: np.ndarray  # (n,) client index
-    scheme: str
     n_clients: int
-    seed: int
 
     def shards(self) -> list[np.ndarray]:
         """Every client's sample indices, ascending, cut from one stable sort
@@ -68,7 +66,6 @@ class ClientDataset:
     study: Dataset
     quiz: MiniBatch
     test: Dataset
-    label_inventory: tuple[int, ...]  # classes present in the study set
 
 
 def generate_synthetic(
@@ -184,7 +181,7 @@ def partition_dirichlet(
             assignment[idx] = np.repeat(clients, _largest_remainder(shares, idx.shape[0]))
         smallest = int(np.bincount(assignment, minlength=n_clients).min())
         if smallest >= min_per_client:
-            return PartitionPlan(assignment, scheme, n_clients, seed)
+            return PartitionPlan(assignment, n_clients)
         best = max(best, smallest)
     raise _exhausted(
         scheme, max_retries, n_clients, min_per_client, best, "a larger beta or samples_per_class"
@@ -238,7 +235,7 @@ def partition_pathological(
         else:
             smallest = int(np.bincount(assignment, minlength=n_clients).min())
             if smallest >= min_per_client:
-                return PartitionPlan(assignment, scheme, n_clients, seed)
+                return PartitionPlan(assignment, n_clients)
             best = max(best, smallest)
     raise _exhausted(
         scheme, max_retries, n_clients, min_per_client, best, "a larger samples_per_class"
@@ -296,5 +293,4 @@ def split_client(
     study = ds_i.subset(keep)
     quiz = MiniBatch(ds_i.inputs[quiz_idx], ds_i.labels[quiz_idx])
     test = ds_i.subset(test_idx)
-    inventory = tuple(int(y) for y in np.flatnonzero(np.bincount(study.labels)))
-    return ClientDataset(study, quiz, test, inventory)
+    return ClientDataset(study, quiz, test)

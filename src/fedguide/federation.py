@@ -172,6 +172,8 @@ class RunConfig:
             raise ConfigError("n_clients: must be >= 2")
         if self.batch_size < 1 or self.quiz_size < 1:
             raise ConfigError("batch_size and quiz_size must be >= 1")
+        if self.feature_dim < 1:
+            raise ConfigError("feature_dim: must be >= 1")
         if self.noise_s < 0 or not 0 <= self.noise_p <= 1:
             raise ConfigError("noise: need s >= 0 and 0 <= p <= 1")
         if self.activation not in ACTIVATIONS:
@@ -233,8 +235,7 @@ def task_digest(config: RunConfig) -> str:
 
 @dataclass
 class ClientState:
-    """One client's fixed architecture, current parameters, and local data,
-    plus its last evaluation score (None once its parameters change).
+    """One client's fixed architecture, current parameters, and local data.
 
     ``params`` is a view of row ``row`` of ``rows``, the (n_v, P) array that
     holds every client of this spec, bound once for the run.
@@ -246,18 +247,19 @@ class ClientState:
     data: ClientDataset
     rows: np.ndarray
     row: int
-    score: ClientScore | None = None
 
 
 @dataclass
 class ServerState:
-    """Server-side payload and round counter; a new one is built each round."""
+    """Everything a checkpoint carries besides the clients' parameters, and
+    nothing the config already says; a new one is built each round."""
 
-    seed: int
-    method: str
     t: int  # completed rounds
     payload: GuidingVectorSet | PrototypeSet | None
     min_ce: float = np.inf  # running minimum of mean study ce, for loss-increase
+    # The last evaluation, (accuracy, per-client accuracies, mean study ce),
+    # which a round that skips evaluation reports again; None before round 1.
+    evaluation: tuple[float, np.ndarray, float] | None = None
 
 
 def build_dataset(config: RunConfig) -> Dataset:
@@ -320,13 +322,14 @@ def build_server(config: RunConfig) -> ServerState:
         payload = empty_prototypes(config.task.class_count, config.vector_dim, space)
     else:
         payload = None
-    return ServerState(config.seed, config.method, 0, payload)
+    return ServerState(0, payload)
 
 
-def sample_participants(server: ServerState, n_clients: int, rho: float) -> list[int]:
-    """Uniform subset of size round(rho * N), at least 1, for the coming round."""
-    gen = rngmod.stream(server.seed, rngmod.PARTICIPATION, server.t + 1)
-    chosen = gen.choice(n_clients, size=_participant_count(n_clients, rho), replace=False)
+def sample_participants(config: RunConfig, round_index: int) -> list[int]:
+    """Uniform subset of size round(rho * N), at least 1, for round ``round_index``."""
+    gen = rngmod.stream(config.seed, rngmod.PARTICIPATION, round_index)
+    size = _participant_count(config.n_clients, config.rho)
+    chosen = gen.choice(config.n_clients, size=size, replace=False)
     return sorted(int(i) for i in chosen)
 
 
@@ -364,38 +367,11 @@ def _check_stackable(members: list[ClientState], round_index: int):
                 )
 
 
-class _Scratch:
-    """The run's buffers for the (k, P) arrays a group needs only while its
-    round runs, one per region: 0, the gathered stack of a group whose rows
-    are not contiguous; 1, the gradient (the epoch's, then the telemetry
-    one, then the pseudo-trained parameters stepped from it); 2, the quiz
-    gradient. Groups run one after another, so every plan binds its views
-    into the same buffers and memory does not grow with the number of
-    groups. A buffer is allocated when a plan first needs its region, and
-    each (region, k, P) view is made once, so a rebuilt plan of a shape
-    seen before reuses the block views bound on it."""
-
-    def __init__(self, clients: list[ClientState], config: RunConfig):
-        k = _participant_count(len(clients), config.rho)  # the largest group
-        self.size = max(min(c.rows.shape[0], k) * c.rows.shape[1] for c in clients)
-        self.buffers: list[np.ndarray | None] = [None] * 3
-        self.views: dict[tuple[int, int, int], ModelParams] = {}
-
-    def view(self, region: int, k: int, p: int) -> ModelParams:
-        found = self.views.get((region, k, p))
-        if found is None:
-            if self.buffers[region] is None:
-                self.buffers[region] = np.empty(self.size)
-            found = ModelParams(self.buffers[region][: k * p].reshape(k, p))
-            self.views[region, k, p] = found
-        return found
-
-
 class _GroupPlan:
     """What one group keeps across rounds while its members stay the same:
     the members in epoch order, their rows, the stacked quiz or the layout
     of their study sets, the telemetry-batch buffers, and scratch views,
-    each bound once, and the run's streams.
+    each bound once, and the run's streams and score cache.
 
     When the members' rows of their spec's array are consecutive, as the
     rows of every client with a full study batch are at rho = 1, the group
@@ -403,16 +379,11 @@ class _GroupPlan:
     each round and written back with one scatter after the epoch.
     """
 
-    def __init__(
-        self,
-        config: RunConfig,
-        members: list[ClientState],
-        scratch: _Scratch,
-        streams: rngmod.RoundStreams,
-        round_index: int,
-    ):
+    def __init__(self, plans: RoundPlans, members: list[ClientState], round_index: int):
         _check_stackable(members, round_index)
-        self.streams = streams
+        config = plans.config
+        self.streams = plans.streams
+        self.scores = plans.scores
         self.indices = [c.index for c in members]
         members = sorted(members, key=lambda c: c.row)  # most epoch steps first
         self.members = members
@@ -426,9 +397,9 @@ class _GroupPlan:
             self.stack = ModelParams(self.rows[first : first + k])
         else:
             self.gather = np.array([c.row for c in members])
-            self.stack = scratch.view(0, k, p)
-        self.grad = scratch.view(1, k, p)
-        self.direction = scratch.view(2, k, p) if config.method in GUIDED_METHODS else None
+            self.stack = plans.view(0, k, p)
+        self.grad = plans.view(1, k, p)
+        self.direction = plans.view(2, k, p) if config.method in GUIDED_METHODS else None
         self.steps = [len(c.data.study) // config.batch_size for c in members]
         self.study_inputs = [c.data.study.inputs for c in members]
         self.study_labels = [c.data.study.labels for c in members]
@@ -442,27 +413,51 @@ class _GroupPlan:
 
 
 class RoundPlans:
-    """The group plans of one run, the scratch they share, and the streams
-    its clients draw from each round.
+    """What a run keeps from round to round that a fresh object rebuilds
+    without changing any output: the clients and config, the streams its
+    clients draw from each round, the group plans, the scratch they share,
+    and each client's last evaluation score.
 
-    run_training makes one and drops it when it returns; run_round makes a
-    throwaway one when it is given none. Stacked calls need equal shapes, so
-    a group shares the spec and the row counts of the sampled study batch
-    and of the quiz; a study set smaller than batch_size gives a smaller
-    batch and its own group.
+    It assumes that only run_round writes its clients' parameters (a score
+    stays cached until a round steps its client's row); run_training makes
+    one after any checkpoint load. Stacked calls need equal shapes, so a
+    group shares the spec and the row counts of the sampled study batch and
+    of the quiz; a study set smaller than batch_size gives its own group.
+
+    Scratch holds the (k, P) arrays a group needs only while its round
+    runs, one buffer per region: 0, the gathered stack of a group whose rows
+    are not contiguous; 1, the gradient (the epoch's, then the telemetry
+    one, then the pseudo-trained parameters stepped from it); 2, the quiz
+    gradient. Groups run one after another, so all plans share the buffers.
     """
 
     def __init__(self, clients: list[ClientState], config: RunConfig):
         self.clients = clients
         self.config = config
-        self.scratch = _Scratch(clients, config)
         purposes = [rngmod.EPOCH, rngmod.BATCH]
         if _noisy(config):
             purposes.append(rngmod.NOISE)
         self.streams = rngmod.RoundStreams(config.seed, purposes, len(clients), config.rounds)
+        # Each client's score, None until evaluated and once its row is stepped.
+        self.scores: list[ClientScore | None] = [None] * len(clients)
+        k = _participant_count(len(clients), config.rho)  # the largest group
+        self._scratch_size = max(min(c.rows.shape[0], k) * c.rows.shape[1] for c in clients)
+        self._buffers: list[np.ndarray | None] = [None] * 3
+        self._views: dict[tuple[int, int, int], ModelParams] = {}
         self._plans: dict[tuple, _GroupPlan] = {}
         self._participants: list[int] | None = None
         self._groups: list[_GroupPlan] = []
+
+    def view(self, region: int, k: int, p: int) -> ModelParams:
+        """The (k, p) view of a scratch region, each made once, so a rebuilt
+        plan of a shape seen before reuses the block views bound on it."""
+        found = self._views.get((region, k, p))
+        if found is None:
+            if self._buffers[region] is None:
+                self._buffers[region] = np.empty(self._scratch_size)
+            found = ModelParams(self._buffers[region][: k * p].reshape(k, p))
+            self._views[region, k, p] = found
+        return found
 
     def groups(self, participants: list[int], round_index: int) -> list[_GroupPlan]:
         """The plans of this round's groups: the last round's when the
@@ -480,9 +475,7 @@ class RoundPlans:
         for key, members in grouped.items():
             plan = self._plans.get(key)
             if plan is None or plan.indices != [c.index for c in members]:
-                plan = self._plans[key] = _GroupPlan(
-                    config, members, self.scratch, self.streams, round_index
-                )
+                plan = self._plans[key] = _GroupPlan(self, members, round_index)
             plans.append(plan)
         self._participants, self._groups = participants, plans
         return plans
@@ -515,7 +508,7 @@ def _group_work(
 ) -> list[_ClientResult]:
     """All of one round's work for a group: local epoch, telemetry gradient
     and upload, each step one stacked call over the group. Steps the
-    members' rows in place and drops the scores of those it stepped."""
+    members' rows in place and drops the cached scores of those it stepped."""
     spec, members, stack, streams = plan.spec, plan.members, plan.stack, plan.streams
     loss_cfg = _loss_config(config, payload)
     if plan.gather is not None:
@@ -535,9 +528,9 @@ def _group_work(
             )
             if plan.gather is not None and plan.steps[0]:
                 plan.rows[plan.gather] = stack.flat
-        for c, steps in zip(members, plan.steps):
+        for i, steps in zip(plan.member_indices, plan.steps):
             if steps:
-                c.score = None
+                plan.scores[i] = None
 
     with _computing(plan, round_index, "upload"):
         # Each member draws its study batch from its own BATCH stream; the
@@ -590,33 +583,25 @@ def _group_work(
     ]
 
 
-def run_round(
-    server: ServerState,
-    clients: list[ClientState],
-    config: RunConfig,
-    last: RoundMetrics | None = None,
-    plans: RoundPlans | None = None,
-) -> tuple[ServerState, RoundMetrics]:
-    """Execute one communication round; steps participants' parameter rows
-    and brings clients' evaluation scores up to date, in place.
+def run_round(server: ServerState, plans: RoundPlans) -> tuple[ServerState, RoundMetrics]:
+    """Execute one communication round of the run ``plans`` was made for;
+    steps participants' parameter rows and brings the cached evaluation
+    scores up to date, in place.
 
-    ``last`` is the previous round's metrics: a round that skips evaluation
-    (eval_every > 1) reports its accuracy and study ce again. ``plans`` are
-    the run's group plans for these clients; without them the round builds
-    its own. The round runs under a floating-point state that raises on
-    overflow, invalid operations and division by zero (not underflow), so
-    the first non-finite value stops it with an error that names the round
-    and where it arose: the clients and the quantity they were computing
-    (their parameters in the local epoch, or their upload), the server
-    update's payload, or the evaluation.
+    A round that skips evaluation (eval_every > 1) reports the server's
+    last evaluation again. The round runs under a floating-point state that
+    raises on overflow, invalid operations and division by zero (not
+    underflow), so the first non-finite value stops it with an error that
+    names the round and where it arose: the clients and the quantity they
+    were computing (their parameters in the local epoch, or their upload),
+    the server update's payload, or the evaluation.
     """
     start = time.perf_counter()
+    clients, config = plans.clients, plans.config
     round_index = server.t + 1
     if round_index > config.rounds:
         raise ContractViolation("run_round called past the configured horizon")
-    if plans is None:
-        plans = RoundPlans(clients, config)
-    participants = sample_participants(server, config.n_clients, config.rho)
+    participants = sample_participants(config, round_index)
     groups = plans.groups(participants, round_index)
     with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
         results: list[_ClientResult] = []
@@ -649,23 +634,21 @@ def run_round(
             config.method,
         )
 
-        if round_index % config.eval_every == 0 or round_index == config.rounds or last is None:
+        evaluation = server.evaluation
+        due = round_index % config.eval_every == 0 or round_index == config.rounds
+        if due or evaluation is None:
             study_ce = [None] * len(clients)
             for r in results:
                 study_ce[r.index] = r.study_ce
-            scores = [c.score for c in clients]
             try:
-                accuracy, per_client, mean_ce = evaluate(
-                    [(c.spec, c.params, c.data) for c in clients], scores, study_ce
+                evaluation = evaluate(
+                    [(c.spec, c.params, c.data) for c in clients], plans.scores, study_ce
                 )
             except Exception as exc:
                 raise ContractViolation(
                     f"evaluation failed in round {round_index}: {exc}"
                 ) from exc
-            for c, score in zip(clients, scores):
-                c.score = score
-        else:
-            accuracy, per_client, mean_ce = last.accuracy, last.per_client_accuracy, last.mean_ce
+        accuracy, per_client, mean_ce = evaluation
 
         grad_norm_sq = float(np.mean([r.grad_norm_sq for r in results]))
 
@@ -685,8 +668,7 @@ def run_round(
         upload_rows=upload_rows,
         wall_time=time.perf_counter() - start,
     )
-    new_server = ServerState(server.seed, server.method, round_index, payload, new_min)
-    return new_server, metrics
+    return ServerState(round_index, payload, new_min, evaluation), metrics
 
 
 @dataclass
@@ -706,41 +688,53 @@ def run_training(
     """Run rounds 1..T (or resume at a checkpoint's round) and collect metrics.
 
     With ``checkpoint_at``/``checkpoint_path`` set, a snapshot is written
-    after that round completes. Resuming reproduces the remaining rounds
-    bit-exactly because all randomness is keyed by (seed, client, round).
+    after that round completes; a ``checkpoint_at`` the run never reaches
+    is an error before the first round. Resuming reproduces the remaining
+    rounds bit-exactly because all randomness is keyed by (seed, client,
+    round) and the checkpoint carries the last evaluation.
     """
     config.validate()
+    if checkpoint_at is not None and checkpoint_path is None:
+        raise ConfigError("checkpoint_path: required when checkpoint_at is set")
+    _check_checkpoint_at(checkpoint_at, 0, config.rounds)
     clients = build_clients(config)
     if resume_from is not None:
         server = load_checkpoint(resume_from, config, clients)
+        _check_checkpoint_at(checkpoint_at, server.t, config.rounds)
     else:
         server = build_server(config)
     plans = RoundPlans(clients, config)
     history: list[RoundMetrics] = []
     while server.t < config.rounds:
-        last = history[-1] if history else None
-        server, metrics = run_round(server, clients, config, last, plans)
+        server, metrics = run_round(server, plans)
         history.append(metrics)
-        if checkpoint_at is not None and server.t == checkpoint_at:
-            if checkpoint_path is None:
-                raise ConfigError("checkpoint_path: required when checkpoint_at is set")
+        if server.t == checkpoint_at:
             save_checkpoint(checkpoint_path, config, server, clients)
     return TrainingResult(config, history, server, clients)
 
 
+def _check_checkpoint_at(at: int | None, t: int, rounds: int):
+    """Raise unless round ``at``, when set, is one a run past round t reaches."""
+    if at is not None and not t < at <= rounds:
+        raise ConfigError(f"checkpoint_at: must satisfy {t} < checkpoint_at <= {rounds}, got {at}")
+
+
 # ---------------------------------------------------------------------------
-# Checkpoint format (version 1, all integers/floats little-endian):
+# Checkpoint format (version 2, all integers/floats little-endian):
 #   magic "FGCK" | u32 version | u64 seed | u64 completed_rounds
 #   f64 min_ce (inf when unset)
 #   u16 digest_len | digest bytes (config digest, seed included)
 #   u8 payload_kind (0 none, 1 guiding vectors, 2 prototypes)
 #     kind 1: u64 version | u64 C | u64 M | C*M f64
 #     kind 2: u64 C | u64 M | C u64 counts | C*M f64
-#   u64 n_clients, then per client: u64 param_count | that many f64
+#   u64 n_clients
+#   u8 has_evaluation | f64 accuracy | f64 mean_ce | n_clients f64 per-client
+#     accuracies (the last evaluation; all zero when has_evaluation is 0)
+#   per client: u64 param_count | that many f64
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"FGCK"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 
 
 @contextmanager
@@ -782,6 +776,9 @@ def save_checkpoint(
             fh.write(payload.counts.astype("<u8").tobytes())
             fh.write(payload.vectors.astype("<f8").tobytes())
         fh.write(struct.pack("<Q", len(clients)))
+        accuracy, per_client, mean_ce = server.evaluation or (0.0, np.zeros(len(clients)), 0.0)
+        fh.write(struct.pack("<Bdd", server.evaluation is not None, accuracy, mean_ce))
+        fh.write(per_client.astype("<f8").tobytes())
         for client in clients:
             flat = client.params.flat
             fh.write(struct.pack("<Q", flat.shape[0]))
@@ -842,6 +839,11 @@ def load_checkpoint(path: str, config: RunConfig, clients: list[ClientState]) ->
             raise CheckpointError(f"{path}: unknown payload kind {kind}")
         (n_clients,) = struct.unpack("<Q", _read_exact(fh, 8))
         _check_header_field(path, "n_clients", n_clients, len(clients))
+        has_evaluation, accuracy, mean_ce = struct.unpack("<Bdd", _read_exact(fh, 17))
+        if has_evaluation > 1:
+            raise CheckpointError(f"{path}: bad evaluation flag {has_evaluation}")
+        per_client = np.frombuffer(_read_exact(fh, 8 * n_clients), dtype="<f8")
+        evaluation = (accuracy, per_client.astype(np.float64), mean_ce) if has_evaluation else None
         flats = []
         for client in clients:
             (p,) = struct.unpack("<Q", _read_exact(fh, 8))
@@ -851,5 +853,4 @@ def load_checkpoint(path: str, config: RunConfig, clients: list[ClientState]) ->
             flats.append(np.frombuffer(_read_exact(fh, 8 * p), dtype="<f8"))
     for client, flat in zip(clients, flats):
         client.params.flat[...] = flat
-        client.score = None
-    return ServerState(seed, config.method, t, payload, min_ce)
+    return ServerState(t, payload, min_ce, evaluation)

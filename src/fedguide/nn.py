@@ -145,16 +145,6 @@ class ModelParams:
         return found
 
 
-def params_from_flat(spec: ModelSpec, flat: np.ndarray) -> ModelParams:
-    """Wrap a flat vector as ModelParams, validating its length against spec."""
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.ndim != 1 or flat.shape[0] != param_count(spec):
-        raise ContractViolation(
-            f"parameter vector has length {flat.shape}, spec implies {param_count(spec)}"
-        )
-    return ModelParams(flat)
-
-
 def init_params(
     spec: ModelSpec, rng: np.random.Generator, out: np.ndarray | None = None
 ) -> ModelParams:

@@ -80,8 +80,8 @@ def fd_jvp(
     step: float = 1e-6,
 ) -> np.ndarray:
     """Central-difference directional derivative of the guided map."""
-    hi = nn.params_from_flat(spec, params.flat + step * direction)
-    lo = nn.params_from_flat(spec, params.flat - step * direction)
+    hi = ModelParams(params.flat + step * direction)
+    lo = ModelParams(params.flat - step * direction)
     f_hi, l_hi = nn.forward_batch(spec, hi, inputs)
     f_lo, l_lo = nn.forward_batch(spec, lo, inputs)
     if space == "feature":

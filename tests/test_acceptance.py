@@ -12,6 +12,7 @@ import pytest
 from fedguide import nn
 from fedguide.cli import parse_config, read_metrics_csv, run_experiment
 from fedguide.federation import (
+    RoundPlans,
     RunConfig,
     TaskConfig,
     build_clients,
@@ -204,11 +205,12 @@ def test_criterion_06_warmup_behavior(fedl2g_f_runs, fedl2g_f_nowarmup_runs):
     # bit-identical parameters through the default run's warm-up phase
     cfg = RunConfig(method="fedl2g-f", seed=1)
     clients = build_clients(cfg)
+    plans = RoundPlans(clients, cfg)
     server = build_server(cfg)
     frozen = True
     for _ in range(cfg.warmup):
         before = [c.params.flat.copy() for c in clients]
-        server, _ = run_round(server, clients, cfg)
+        server, _ = run_round(server, plans)
         frozen = frozen and all(
             np.array_equal(c.params.flat, b) for c, b in zip(clients, before)
         )

@@ -370,20 +370,45 @@ def test_compare_bad_input_is_a_config_error_naming_the_path(tmp_path, capsys):
     "key,value", [("clients", 2.7), ("rounds", True), ("warmup", 3.0), ("quiz_size", "ten")]
 )
 def test_integer_options_reject_fractions_and_booleans(source, key, value, tmp_path, monkeypatch):
-    # Flags and environment variables carry the text a config file's JSON
-    # value would be written as: 2.7, true, 3.0.
+    with pytest.raises(ConfigError, match=f"{key}: cannot parse"):
+        parse_config(_json_option_argv(source, key, value, tmp_path, monkeypatch))
+
+
+def _json_option_argv(source, key, value, tmp_path, monkeypatch):
+    """parse_config's argv giving one option a JSON value from ``source``.
+    Flags and environment variables carry the text a config file's JSON
+    value would be written as: 2.7, true, 3.0."""
     text = value if isinstance(value, str) else json.dumps(value)
     if source == "file":
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({key: value}))
-        argv = ["--config", str(path)]
-    elif source == "env":
+        return ["--config", str(path)]
+    if source == "env":
         monkeypatch.setenv("FEDGUIDE_" + key.upper(), text)
-        argv = []
-    else:
-        argv = _option_argv({key: text})
-    with pytest.raises(ConfigError, match=f"{key}: cannot parse"):
+        return []
+    return _option_argv({key: text})
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "file"])
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("rho", True, "^rho: cannot parse"),
+        ("eta_c", True, "^eta_c: cannot parse"),
+        ("feature_dim", 0, "^feature_dim: must be >= 1$"),
+    ],
+    ids=["rho-true", "eta_c-true", "feature_dim-0"],
+)
+def test_bad_option_values_rejected_before_any_output(
+    source, key, value, message, tmp_path, monkeypatch, capsys
+):
+    argv = _json_option_argv(source, key, value, tmp_path, monkeypatch)
+    with pytest.raises(ConfigError, match=message):
         parse_config(argv)
+    out = tmp_path / "out"
+    assert main(["run", *argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
 
 
 def test_unreadable_data_file_fails_the_run_with_a_marker(tmp_path, capsys):

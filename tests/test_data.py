@@ -261,12 +261,6 @@ def test_split_client_too_few_samples_names_client():
         data.split_client(ds, quiz_size=10, seed=0, client_index=7)
 
 
-def test_split_client_inventory_matches_study():
-    ds = small_pool(c=4, n_per=12)
-    cd = data.split_client(ds, seed=3, client_index=0)
-    assert set(cd.label_inventory) == set(np.unique(cd.study.labels).tolist())
-
-
 def test_dataset_rejects_bad_labels():
     with pytest.raises(ContractViolation):
         data.Dataset(np.zeros((2, 3)), np.array([0, 5]), 3)
@@ -396,9 +390,7 @@ def _reference_split(ds_i, test_fraction, quiz_size, seed, client_index):
         [train_idx[train_labels == y][:q] for y, q in zip(classes, quotas)]
     )
     study_idx = np.setdiff1d(train_idx, quiz_idx)
-    study = ds_i.subset(study_idx)
-    inventory = tuple(int(y) for y in np.unique(study.labels))
-    return study, ds_i.subset(quiz_idx), ds_i.subset(test_idx), inventory
+    return ds_i.subset(study_idx), ds_i.subset(quiz_idx), ds_i.subset(test_idx)
 
 
 # The two task shapes of the benchmark's workloads: the paper task, and
@@ -427,11 +419,10 @@ def test_client_shards_and_splits_equal_the_reference_bitwise(shape):
             plan = data.partition_pathological(ds, config.n_clients, 2, seed, 20)
         for i, client in enumerate(clients):
             shard = ds.subset(np.nonzero(plan.assignment == i)[0])
-            study, quiz, test, inventory = _reference_split(shard, 0.25, 10, seed, i)
+            study, quiz, test = _reference_split(shard, 0.25, 10, seed, i)
             got = client.data
             for part, expected in [(got.study, study), (got.quiz, quiz), (got.test, test)]:
                 assert part.inputs.tobytes() == expected.inputs.tobytes(), (seed, i)
                 assert part.labels.tobytes() == expected.labels.tobytes(), (seed, i)
-            assert got.label_inventory == inventory, (seed, i)
             expected_params = nn.init_params(client.spec, rng.stream(seed, rng.MODEL_INIT, i))
             assert client.params.flat.tobytes() == expected_params.flat.tobytes()

@@ -12,6 +12,7 @@ from fedguide import federation, metrics, nn, rng
 from fedguide.cli import format_metrics_csv
 from fedguide.errors import CheckpointError, ConfigError, ContractViolation
 from fedguide.federation import (
+    RoundPlans,
     build_clients,
     build_server,
     config_digest,
@@ -40,28 +41,28 @@ def metrics_tuple(m):
     )
 
 
+def _plans(cfg):
+    """One RoundPlans over freshly built clients, for stepping rounds."""
+    return RoundPlans(build_clients(cfg), cfg)
+
+
 def test_sample_participants_full_and_partial():
-    cfg = small_config()
-    server = build_server(cfg)
-    assert sample_participants(server, 20, 1.0) == list(range(20))
-    half = sample_participants(server, 20, 0.5)
+    cfg = small_config(n_clients=20)
+    assert sample_participants(cfg, 1) == list(range(20))
+    half = sample_participants(dataclasses.replace(cfg, rho=0.5), 1)
     assert len(half) == 10 == len(set(half))
-    assert sample_participants(server, 20, 0.5) == half  # same seed/round
+    assert sample_participants(dataclasses.replace(cfg, rho=0.5), 1) == half  # same round
 
 
 def test_sample_participants_changes_by_round():
-    cfg = small_config()
-    s0 = build_server(cfg)
-    s1 = dataclasses.replace(s0, t=1)
-    draws = {tuple(sample_participants(s, 20, 0.3)) for s in (s0, s1)}
+    cfg = small_config(n_clients=20, rho=0.3)
+    draws = {tuple(sample_participants(cfg, r)) for r in (1, 2)}
     assert len(draws) == 2
 
 
 def test_local_only_round_no_uploads_no_server_payload():
     cfg = small_config("local-only", warmup=0)
-    clients = build_clients(cfg)
-    server = build_server(cfg)
-    server2, m = run_round(server, clients, cfg)
+    server2, m = run_round(build_server(cfg), _plans(cfg))
     assert server2.payload is None
     assert m.upload_bytes == 0 and m.download_bytes == 0 and m.upload_rows == 0
     assert server2.t == 1
@@ -69,38 +70,38 @@ def test_local_only_round_no_uploads_no_server_payload():
 
 def test_warmup_rounds_leave_params_bit_identical():
     cfg = small_config(warmup=2)
-    clients = build_clients(cfg)
+    plans = _plans(cfg)
+    clients = plans.clients
     server = build_server(cfg)
     for expected_round in (1, 2):
         before = [c.params.flat.copy() for c in clients]
         g_before = server.payload.vectors.copy()
-        server, _ = run_round(server, clients, cfg)
+        server, _ = run_round(server, plans)
         assert server.t == expected_round
         for c, b in zip(clients, before):
             assert np.array_equal(c.params.flat, b)
         assert not np.array_equal(server.payload.vectors, g_before)  # vectors still learn
     # first post-warm-up round trains
     before = [c.params.flat.copy() for c in clients]
-    server, _ = run_round(server, clients, cfg)
+    server, _ = run_round(server, plans)
     assert any(not np.array_equal(c.params.flat, b) for c, b in zip(clients, before))
 
 
 def test_no_warmup_trains_from_round_one():
     cfg = small_config(warmup=0)
-    clients = build_clients(cfg)
-    server = build_server(cfg)
-    before = [c.params.flat.copy() for c in clients]
-    run_round(server, clients, cfg)
-    assert any(not np.array_equal(c.params.flat, b) for c, b in zip(clients, before))
+    plans = _plans(cfg)
+    before = [c.params.flat.copy() for c in plans.clients]
+    run_round(build_server(cfg), plans)
+    assert any(not np.array_equal(c.params.flat, b) for c, b in zip(plans.clients, before))
 
 
 def test_non_participants_untouched():
     cfg = small_config(rho=0.5, warmup=0)
-    clients = build_clients(cfg)
-    server = build_server(cfg)
-    participants = sample_participants(server, cfg.n_clients, cfg.rho)
+    plans = _plans(cfg)
+    clients = plans.clients
+    participants = sample_participants(cfg, 1)
     before = [c.params.flat.copy() for c in clients]
-    run_round(server, clients, cfg)
+    run_round(build_server(cfg), plans)
     for i, (c, b) in enumerate(zip(clients, before)):
         if i not in participants:
             assert np.array_equal(c.params.flat, b)
@@ -154,6 +155,36 @@ def test_checkpoint_resume_reproduces_remaining_rounds(tmp_path, method):
         assert np.array_equal(c_full.params.flat, c_res.params.flat)
     if method != "local-only":
         assert np.array_equal(full.server.payload.vectors, resumed.server.payload.vectors)
+
+
+def _no_set_up(*args, **kwargs):
+    raise AssertionError("the run was set up")
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        (dict(checkpoint_at=4), "checkpoint_path: required when checkpoint_at is set"),
+        (dict(checkpoint_at=0, checkpoint_path="x"), "checkpoint_at: must satisfy 0 < "),
+        (dict(checkpoint_at=9, checkpoint_path="x"), "checkpoint_at: must satisfy 0 < "),
+    ],
+)
+def test_checkpoint_arguments_are_checked_before_set_up(monkeypatch, kwargs, message):
+    monkeypatch.setattr(federation, "build_clients", _no_set_up)
+    with pytest.raises(ConfigError, match="^" + message):
+        run_training(small_config(rounds=8), **kwargs)
+
+
+@pytest.mark.parametrize("at", [2, 4])
+def test_checkpoint_at_or_before_the_resumed_round_is_an_error(tmp_path, monkeypatch, at):
+    cfg = small_config(rounds=8)
+    path, _ = _checkpoint_bytes(tmp_path, cfg, at=4)
+    monkeypatch.setattr(federation, "run_round", _no_set_up)
+    later = tmp_path / "later.ckpt"
+    message = f"^checkpoint_at: must satisfy 4 < checkpoint_at <= 8, got {at}$"
+    with pytest.raises(ConfigError, match=message):
+        run_training(cfg, resume_from=str(path), checkpoint_at=at, checkpoint_path=str(later))
+    assert not later.exists()
 
 
 def test_checkpoint_rejects_wrong_config(tmp_path):
@@ -222,13 +253,27 @@ def test_checkpoint_rejects_wrong_param_count_and_leaves_clients_untouched(tmp_p
     assert all(np.array_equal(c.params.flat, b) for c, b in zip(clients, before))
 
 
+def test_checkpoint_rejects_a_bad_evaluation_flag(tmp_path):
+    cfg = small_config(rounds=4)
+    path, blob = _checkpoint_bytes(tmp_path, cfg)
+    clients = build_clients(cfg)
+    params_bytes = sum(8 + 8 * nn.param_count(c.spec) for c in clients)
+    offset = len(blob) - params_bytes - 8 * cfg.n_clients - 17
+    assert blob[offset] == 1  # round 2 was evaluated
+    blob[offset] = 2
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="bad evaluation flag 2"):
+        load_checkpoint(str(path), cfg, clients)
+
+
 def _train_checking_evaluation(cfg, clients, server):
     """Run rounds to the horizon as run_training does; after every round the
     reported evaluation must equal, bit for bit, an evaluation from scratch of
     the clients as they stood at the last evaluated round."""
-    m = fresh = None
+    plans = RoundPlans(clients, cfg)
+    fresh = None
     while server.t < cfg.rounds:
-        server, m = run_round(server, clients, cfg, m)
+        server, m = run_round(server, plans)
         if fresh is None or m.round_index % cfg.eval_every == 0 or m.round_index == cfg.rounds:
             fresh = metrics.evaluate([(c.spec, c.params, c.data) for c in clients])
         assert m.accuracy == fresh[0], m.round_index
@@ -269,13 +314,14 @@ def test_evaluation_scores_only_clients_whose_params_changed(monkeypatch):
 
     monkeypatch.setattr(metrics, "forward_batch", counting_forward)
     cfg = small_config(rho=0.5, warmup=2, rounds=6)
-    clients = build_clients(cfg)
+    plans = _plans(cfg)
+    clients = plans.clients
     server = build_server(cfg)
     last_scored = [None] * cfg.n_clients
     counts = []
     while server.t < cfg.rounds:
         scored.clear()
-        server, _ = run_round(server, clients, cfg)
+        server, _ = run_round(server, plans)
         # by value, in client order: the parameters of every client whose
         # values moved since its last score, and of no other
         changed = [
@@ -303,36 +349,36 @@ def test_prototype_round_forwards_each_study_set_once(monkeypatch, method):
     for module in (nn, federation, metrics):
         monkeypatch.setattr(module, "forward_batch", counting_forward)
     cfg = small_config(method, rounds=3)  # rho 1: every client trains every round
-    clients = build_clients(cfg)
+    plans = _plans(cfg)
+    clients = plans.clients
     server = build_server(cfg)
     # the study set for the prototypes and the study ce, the test set for hits
     expected = sorted(id(c.data.study.inputs) for c in clients)
     expected = sorted(expected + [id(c.data.test.inputs) for c in clients])
     while server.t < cfg.rounds:
         forwarded.clear()
-        server, _ = run_round(server, clients, cfg)
+        server, _ = run_round(server, plans)
         assert sorted(forwarded) == expected
 
 
 def test_client_error_carries_index():
     cfg = small_config(rounds=1, warmup=0)
-    clients = build_clients(cfg)
-    server = build_server(cfg)
+    plans = _plans(cfg)
     # corrupt one client's quiz inputs so its round work fails
-    bad = clients[3]
+    bad = plans.clients[3]
     bad.data.quiz.inputs = bad.data.quiz.inputs[:, :4]
     with pytest.raises(ContractViolation, match="client 3"):
-        run_round(server, clients, cfg)
+        run_round(build_server(cfg), plans)
 
 
 def test_bad_client_in_a_group_is_named_alone():
     cfg = small_config(rounds=1, warmup=0)
-    clients = build_clients(cfg)
+    plans = _plans(cfg)
     # client 5 shares variant 0 with client 0; only its quiz is corrupt
-    bad = clients[5]
+    bad = plans.clients[5]
     bad.data.quiz.inputs = bad.data.quiz.inputs[:, :4]
     with pytest.raises(ContractViolation, match=r"^client 5 failed in round 1: quiz inputs"):
-        run_round(build_server(cfg), clients, cfg)
+        run_round(build_server(cfg), plans)
 
 
 def test_error_in_a_stacked_call_names_every_client_of_the_group(monkeypatch):
@@ -345,7 +391,7 @@ def test_error_in_a_stacked_call_names_every_client_of_the_group(monkeypatch):
     with pytest.raises(
         ContractViolation, match=r"clients 0, 5 failed in round 1 computing their upload: boom"
     ):
-        run_round(build_server(cfg), build_clients(cfg), cfg)
+        run_round(build_server(cfg), _plans(cfg))
 
 
 def test_config_validation_errors_name_fields():
@@ -431,21 +477,25 @@ def _outputs(history, clients, server):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("method", ["fedl2g-f", "fedproto"])
+@pytest.mark.parametrize("method", federation.METHODS)
 def test_reused_plans_equal_fresh_plans_and_a_resume_bitwise(tmp_path, method, seed):
     cfg = small_config(method, seed=seed, rho=0.5, eval_every=3, rounds=9)
-    ckpt = str(tmp_path / "run.ckpt")
-    # resumed before an evaluated round: a resumed run evaluates its first round
-    full = run_training(cfg, checkpoint_at=5, checkpoint_path=ckpt)
+    full = run_training(cfg)
+    expected = _outputs(full.history, full.clients, full.server)
     # every round through plans of its own, none kept from the round before
     clients, server, history = build_clients(cfg), build_server(cfg), []
     while server.t < cfg.rounds:
-        server, m = run_round(server, clients, cfg, history[-1] if history else None)
+        server, m = run_round(server, RoundPlans(clients, cfg))
         history.append(m)
-    expected = _outputs(full.history, full.clients, full.server)
     assert _outputs(history, clients, server) == expected
-    resumed = run_training(cfg, resume_from=ckpt)
-    assert _outputs(full.history[:5] + resumed.history, resumed.clients, resumed.server) == expected
+    # resumed after an evaluated round, after a skipped one, and before an
+    # evaluated one: the first resumed round reports the checkpoint's evaluation
+    for at in (3, 4, 5):
+        ckpt = str(tmp_path / f"run{at}.ckpt")
+        run_training(cfg, checkpoint_at=at, checkpoint_path=ckpt)
+        resumed = run_training(cfg, resume_from=ckpt)
+        got = _outputs(full.history[:at] + resumed.history, resumed.clients, resumed.server)
+        assert got == expected, at
 
 
 def test_rows_of_a_spec_are_one_array_in_epoch_order():
@@ -473,7 +523,7 @@ def test_server_side_errors_name_the_round_and_the_server_update(monkeypatch):
         ContractViolation,
         match=r"^server update failed in round 1 computing the payload: overflow encountered",
     ):
-        run_round(build_server(cfg), build_clients(cfg), cfg)
+        run_round(build_server(cfg), _plans(cfg))
 
 
 def test_evaluation_errors_name_the_round_and_the_evaluation(monkeypatch):
@@ -485,7 +535,7 @@ def test_evaluation_errors_name_the_round_and_the_evaluation(monkeypatch):
     with pytest.raises(
         ContractViolation, match=r"^evaluation failed in round 1: overflow encountered"
     ):
-        run_round(build_server(cfg), build_clients(cfg), cfg)
+        run_round(build_server(cfg), _plans(cfg))
 
 
 def test_error_in_the_local_epoch_names_the_clients_parameters(monkeypatch):
@@ -499,7 +549,7 @@ def test_error_in_the_local_epoch_names_the_clients_parameters(monkeypatch):
         match=r"^clients 0, 5 failed in round 1 computing their parameters \(local epoch\): "
         r"overflow encountered in matmul$",
     ):
-        run_round(build_server(cfg), build_clients(cfg), cfg)
+        run_round(build_server(cfg), _plans(cfg))
 
 
 def test_rebuilt_plan_of_a_seen_group_size_reuses_its_scratch_views():

@@ -121,7 +121,7 @@ def test_pseudo_train_is_one_sgd_step_and_pure():
 
 def test_pseudo_train_zero_gradient_fixed_point():
     spec = ModelSpec(2, (2,), 2, 2, "relu")
-    params = nn.params_from_flat(spec, np.zeros(nn.param_count(spec)))
+    params = ModelParams(np.zeros(nn.param_count(spec)))
     # zero net, logits 0: mse target = logits makes combined gradient vanish
     # only if ce gradient also vanishes, so use an mse-only fixed point via
     # guide vectors equal to outputs and symmetric two-class batch.

@@ -27,7 +27,7 @@ from helpers import small_config
 def perfect_client(n_test=10, label=0):
     """A client whose zero-weight model predicts class `pred` for everything."""
     spec = ModelSpec(2, (2,), 2, 2, "relu")
-    params = nn.params_from_flat(spec, np.zeros(nn.param_count(spec)))
+    params = nn.ModelParams(np.zeros(nn.param_count(spec)))
     # bias the head so argmax is always `label`
     blocks = nn._affines(spec, params.flat)
     blocks[2][1][label] = 1.0
@@ -35,7 +35,7 @@ def perfect_client(n_test=10, label=0):
     test = Dataset(inputs, np.full(n_test, label), 2)
     study = Dataset(inputs[:4], np.full(4, label), 2)
     quiz = MiniBatch(inputs[:2], np.full(2, label))
-    return spec, params, ClientDataset(study, quiz, test, (label,))
+    return spec, params, ClientDataset(study, quiz, test)
 
 
 def test_evaluate_all_correct():
@@ -51,7 +51,7 @@ def test_evaluate_sample_weighted_mean():
     # flip half of the second client's test labels so it scores 0.5
     labels = data.test.labels.copy()
     labels[:15] = 1
-    data = ClientDataset(data.study, data.quiz, Dataset(data.test.inputs, labels, 2), (0,))
+    data = ClientDataset(data.study, data.quiz, Dataset(data.test.inputs, labels, 2))
     agg, per, _ = evaluate([c1, (spec, params, data)])
     assert per.tolist() == [1.0, 0.5]
     assert agg == pytest.approx((10 * 1.0 + 30 * 0.5) / 40)
@@ -68,7 +68,7 @@ def test_evaluate_untrained_accuracy_near_chance():
     test = Dataset(inputs, labels, c)
     study = Dataset(inputs[:8], labels[:8], c)
     quiz = MiniBatch(inputs[:2], labels[:2])
-    agg, _, _ = evaluate([(spec, params, ClientDataset(study, quiz, test, tuple(range(c))))])
+    agg, _, _ = evaluate([(spec, params, ClientDataset(study, quiz, test))])
     p = 1 / c
     sigma = np.sqrt(p * (1 - p) / n)
     assert abs(agg - p) <= 3 * sigma

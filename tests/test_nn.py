@@ -15,7 +15,7 @@ from helpers import fd_grad_params, fd_jvp, random_instance, rel_error, stack_pa
 
 
 def zero_params(spec):
-    return nn.params_from_flat(spec, np.zeros(nn.param_count(spec)))
+    return ModelParams(np.zeros(nn.param_count(spec)))
 
 
 def test_forward_zero_weights_gives_bias_outputs():
@@ -242,7 +242,7 @@ def test_grad_and_jvp_deterministic_bitwise():
 
 def test_sgd_step_by_hand_and_purity():
     spec = ModelSpec(1, (1,), 1, 1, "relu")
-    p = nn.params_from_flat(spec, np.ones(nn.param_count(spec)))
+    p = ModelParams(np.ones(nn.param_count(spec)))
     flat_before = p.flat.copy()
     g = np.zeros_like(p.flat)
     g[0], g[1] = 2.0, -2.0
@@ -494,7 +494,7 @@ def test_cached_views_follow_in_place_updates():
         for view in (w, wt, b, b_row):
             assert np.shares_memory(view, params.flat)
     params.flat[:] *= 0.5
-    fresh = nn.params_from_flat(spec, params.flat.copy())
+    fresh = ModelParams(params.flat.copy())
     for got, expected in zip(params.blocks(spec), fresh.blocks(spec)):
         for a, b in zip(got, expected):
             assert np.array_equal(a, b)

@@ -250,8 +250,9 @@ def test_truncated_checkpoint_raises_checkpoint_error(checkpoint_bytes, data):
     st.integers(0, 2**64 - 1),
     st.integers(0, 8),
     st.one_of(st.just(np.inf), st.floats(0, 10)),
+    st.one_of(st.none(), st.tuples(st.floats(0, 1), st.floats(0, 10))),
 )
-def test_checkpoint_round_trips(method, seed, t, min_ce):
+def test_checkpoint_round_trips(method, seed, t, min_ce, evaluation):
     cfg = small_config(method, seed=seed % 50, rounds=8)
     clients = build_clients(cfg)
     rng = np.random.default_rng(seed)
@@ -262,13 +263,21 @@ def test_checkpoint_round_trips(method, seed, t, min_ce):
         payload.vectors[...] = rng.standard_normal(payload.vectors.shape)
         if hasattr(payload, "counts"):
             payload.counts[...] = rng.integers(0, 5, payload.counts.shape)
-    server = ServerState(cfg.seed, method, t, payload, min_ce)
+    if evaluation is not None:  # (accuracy, per-client accuracies, mean study ce)
+        evaluation = (evaluation[0], rng.random(cfg.n_clients), evaluation[1])
+    server = ServerState(t, payload, min_ce, evaluation)
     restored = build_clients(cfg)
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "ckpt")
         save_checkpoint(path, cfg, server, clients)
         loaded = load_checkpoint(path, cfg, restored)
-    assert (loaded.seed, loaded.method, loaded.t, loaded.min_ce) == (cfg.seed, method, t, min_ce)
+    assert (loaded.t, loaded.min_ce) == (t, min_ce)
+    if evaluation is None:
+        assert loaded.evaluation is None
+    else:
+        (a, per, ce), (loaded_a, loaded_per, loaded_ce) = evaluation, loaded.evaluation
+        assert (loaded_a, loaded_ce) == (a, ce)
+        assert loaded_per.tobytes() == per.tobytes()
     assert all(a.params.flat.tobytes() == b.params.flat.tobytes() for a, b in zip(clients, restored))
     if payload is None:
         assert loaded.payload is None
