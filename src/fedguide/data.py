@@ -93,8 +93,8 @@ def generate_synthetic(
 
 
 def load_delimited(path: str, input_dim: int, class_count: int) -> Dataset:
-    """Load a headerless comma-delimited file, each row ``input_dim`` floats
-    then one integer label; row order preserved."""
+    """Load a headerless comma-delimited file, each row ``input_dim`` finite
+    floats then one integer label; row order preserved."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -102,6 +102,7 @@ def load_delimited(path: str, input_dim: int, class_count: int) -> Dataset:
         raise DataFormatError(f"{path}: cannot read: {exc}") from exc
     rows: list[list[float]] = []
     labels: list[int] = []
+    row_lines: list[int] = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -121,19 +122,38 @@ def load_delimited(path: str, input_dim: int, class_count: int) -> Dataset:
                 f"{path}: line {lineno}: label {label} outside [0, {class_count})"
             )
         labels.append(label)
+        row_lines.append(lineno)
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    return Dataset(np.array(rows), np.array(labels), class_count)
+    inputs = np.array(rows)
+    finite = np.isfinite(inputs)
+    if not finite.all():
+        row, field = np.argwhere(~finite)[0]
+        raise DataFormatError(
+            f"{path}: line {row_lines[row]}: field {field + 1} is {inputs[row, field]}, "
+            "not a finite number"
+        )
+    return Dataset(inputs, np.array(labels), class_count)
 
 
-def _largest_remainder(shares: np.ndarray, total: int) -> np.ndarray:
-    """Integer counts summing to ``total`` with proportions ``shares``."""
-    raw = shares * total
-    counts = np.floor(raw).astype(np.int64)
-    remainder = total - counts.sum()
-    if remainder > 0:
-        # Ties broken by index so the result is deterministic.
-        order = np.lexsort((np.arange(shares.shape[0]), -(raw - counts)))
+def _largest_remainder(shares: np.ndarray, total: int | np.ndarray) -> np.ndarray:
+    """Integer counts summing to ``total`` with proportions ``shares``.
+
+    An (r, n) stack of shares takes r totals, and each row gets the counts a
+    one-row call gives it. What the floors leave over goes one each to the
+    largest fractional parts; a stable sort keeps equal parts in index
+    order, so ties go to the lower index and the result is deterministic.
+    """
+    raw = shares * (np.asarray(total)[:, None] if shares.ndim == 2 else total)
+    floors = np.floor(raw)
+    counts = floors.astype(np.int64)
+    remainder = total - counts.sum(axis=-1)
+    if shares.ndim == 2:
+        order = np.argsort(floors - raw, axis=1, kind="stable")
+        rows, ranks = np.nonzero(np.arange(shares.shape[1]) < remainder[:, None])
+        counts[rows, order[rows, ranks]] += 1
+    elif remainder > 0:
+        order = np.argsort(floors - raw, kind="stable")
         counts[order[:remainder]] += 1
     return counts
 
@@ -170,17 +190,27 @@ def partition_dirichlet(
         raise ContractViolation("beta must be > 0")
     scheme = f"dirichlet(beta={beta})"
     members = [np.nonzero(ds.labels == y)[0] for y in range(ds.class_count)]
-    clients = np.arange(n_clients)
+    class_sizes = np.array([m.shape[0] for m in members])
+    alpha = np.full(n_clients, beta)
+    shares = np.empty((ds.class_count, n_clients))
     best = 0
     for attempt in range(max_retries):
+        # Class by class, an order of its members (permuting their positions
+        # makes the same draws as permuting them), then its client shares.
+        # The draw is judged on its (C, N) counts; only an accepted one
+        # builds its assignment.
         gen = rngmod.stream(seed, rngmod.PARTITION, attempt)
-        assignment = np.empty(len(ds), dtype=np.int64)
-        for class_members in members:
-            idx = gen.permutation(class_members)
-            shares = gen.dirichlet(np.full(n_clients, beta))
-            assignment[idx] = np.repeat(clients, _largest_remainder(shares, idx.shape[0]))
-        smallest = int(np.bincount(assignment, minlength=n_clients).min())
+        orders = []
+        for y, size in enumerate(class_sizes):
+            orders.append(gen.permutation(size))
+            shares[y] = gen.dirichlet(alpha)
+        counts = _largest_remainder(shares, class_sizes)
+        smallest = int(counts.sum(axis=0).min())
         if smallest >= min_per_client:
+            idx = np.concatenate([m[order] for m, order in zip(members, orders)])
+            owners = np.tile(np.arange(n_clients), ds.class_count)
+            assignment = np.empty(len(ds), dtype=np.int64)
+            assignment[idx] = np.repeat(owners, counts.ravel())
             return PartitionPlan(assignment, n_clients)
         best = max(best, smallest)
     raise _exhausted(

@@ -120,9 +120,13 @@ class TaskConfig:
             raise ConfigError("beta: must be > 0")
         if self.partition == "pathological" and self.classes_per_client < 1:
             raise ConfigError("classes_per_client: must be >= 1")
+        if self.class_count < 1:
+            raise ConfigError("class_count: must be >= 1")
+        if self.input_dim < 1:
+            raise ConfigError("input_dim: must be >= 1")
         if self.source == "synthetic":
-            if min(self.class_count, self.input_dim, self.samples_per_class) < 1:
-                raise ConfigError("synthetic dataset dimensions must be positive")
+            if self.samples_per_class < 1:
+                raise ConfigError("samples_per_class: must be >= 1")
             if self.cluster_spread < 0:
                 raise ConfigError("cluster_spread: must be >= 0")
         if not 0 < self.test_fraction < 1:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fedguide import nn
+from fedguide import nn, rng
 from fedguide.federation import RunConfig, TaskConfig
 from fedguide.guidance import GuidingVectorSet, pseudo_train
 from fedguide.nn import LossConfig, MiniBatch, ModelParams, ModelSpec
@@ -146,3 +146,42 @@ def random_instance(seed: int, class_count: int = 3, feature_dim: int = 5, smoot
     n = int(rng.integers(3, 9))
     batch = MiniBatch(rng.standard_normal((n, 4)), rng.integers(0, class_count, n))
     return spec, params, batch, rng
+
+
+def reference_largest_remainder(shares, total):
+    """One row's largest-remainder counts as first written: floors, then one
+    more to each of the largest fractional parts by a lexsort on (-fraction,
+    index). The partition and split references round with it, not with the
+    code under test."""
+    raw = shares * total
+    counts = np.floor(raw).astype(np.int64)
+    remainder = total - counts.sum()
+    if remainder > 0:
+        order = np.lexsort((np.arange(shares.shape[0]), -(raw - counts)))
+        counts[order[:remainder]] += 1
+    return counts
+
+
+def reference_dirichlet(ds, n_clients, beta, seed, min_per_client, max_retries):
+    """partition_dirichlet as first written: every draw builds its whole
+    assignment, one slice write per client. Returns the accepted assignment
+    (None if every draw was rejected) and the best rejected draw's smallest
+    client."""
+    best = 0
+    for attempt in range(max_retries):
+        gen = rng.stream(seed, rng.PARTITION, attempt)
+        assignment = np.empty(len(ds), dtype=np.int64)
+        for y in range(ds.class_count):
+            idx = np.nonzero(ds.labels == y)[0]
+            gen.shuffle(idx)
+            shares = gen.dirichlet(np.full(n_clients, beta))
+            counts = reference_largest_remainder(shares, idx.shape[0])
+            start = 0
+            for client, c in enumerate(counts):
+                assignment[idx[start : start + c]] = client
+                start += c
+        smallest = int(np.bincount(assignment, minlength=n_clients).min())
+        if smallest >= min_per_client:
+            return assignment, best
+        best = max(best, smallest)
+    return None, best

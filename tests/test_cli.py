@@ -391,18 +391,26 @@ def _json_option_argv(source, key, value, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("source", ["flag", "env", "file"])
 @pytest.mark.parametrize(
-    "key,value,message",
+    "key,value,message,data_file",
     [
-        ("rho", True, "^rho: cannot parse"),
-        ("eta_c", True, "^eta_c: cannot parse"),
-        ("feature_dim", 0, "^feature_dim: must be >= 1$"),
+        ("rho", True, "^rho: cannot parse", False),
+        ("eta_c", True, "^eta_c: cannot parse", False),
+        ("feature_dim", 0, "^feature_dim: must be >= 1$", False),
+        ("input_dim", 0, "^input_dim: must be >= 1$", False),
+        ("class_count", 0, "^class_count: must be >= 1$", False),
+        ("input_dim", 0, "^input_dim: must be >= 1$", True),
     ],
-    ids=["rho-true", "eta_c-true", "feature_dim-0"],
+    ids=["rho-true", "eta_c-true", "feature_dim-0", "input_dim-0", "class_count-0",
+         "input_dim-0-data"],
 )
 def test_bad_option_values_rejected_before_any_output(
-    source, key, value, message, tmp_path, monkeypatch, capsys
+    source, key, value, message, data_file, tmp_path, monkeypatch, capsys
 ):
     argv = _json_option_argv(source, key, value, tmp_path, monkeypatch)
+    if data_file:  # the check holds for a file source too, not only the synthetic pool
+        path = tmp_path / "rows.csv"
+        path.write_text("0.5,0\n", encoding="utf-8")
+        argv += ["--data", str(path)]
     with pytest.raises(ConfigError, match=message):
         parse_config(argv)
     out = tmp_path / "out"

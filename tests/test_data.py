@@ -8,6 +8,8 @@ from fedguide import data, federation, nn, rng
 from fedguide.errors import ContractViolation, DataFormatError, PartitionError
 from fedguide.federation import RunConfig
 
+from helpers import reference_dirichlet, reference_largest_remainder
+
 
 def small_pool(seed=0, c=4, n_per=60):
     return data.generate_synthetic(c, 6, n_per, 0.5, seed)
@@ -73,6 +75,16 @@ def test_load_delimited_unreadable_path_is_a_data_format_error(tmp_path):
     binary.write_bytes(b"1.0,2.0,0\n\xff,1.0,1\n")
     with pytest.raises(DataFormatError, match="cannot read"):
         data.load_delimited(str(binary), 2, 3)
+
+
+def test_load_delimited_non_finite_value_names_path_and_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    for rows, line in [("nan,inf,0\n", 1), ("1.0,2.0,0\n\n1.0,-inf,1\n", 3),
+                       ("1.0,2.0,0\n1e999,2.0,1\n", 2)]:
+        path.write_text(rows, encoding="utf-8")
+        with pytest.raises(DataFormatError, match=f"line {line}: .*not a finite number") as exc:
+            data.load_delimited(str(path), 2, 3)
+        assert str(path) in str(exc.value)
 
 
 def test_load_delimited_wrong_field_count(tmp_path):
@@ -250,7 +262,7 @@ def test_split_client_quiz_follows_training_class_proportions():
         cd = data.split_client(ds, quiz_size=10, seed=seed, client_index=seed)
         train_labels = np.concatenate([cd.study.labels, cd.quiz.labels])
         train_counts = np.bincount(train_labels, minlength=3)
-        expected = data._largest_remainder(train_counts / train_counts.sum(), 10)
+        expected = reference_largest_remainder(train_counts / train_counts.sum(), 10)
         assert np.bincount(cd.quiz.labels, minlength=3).tolist() == expected.tolist()
         assert np.bincount(cd.quiz.labels, minlength=3)[0] >= 8
 
@@ -269,7 +281,8 @@ def test_dataset_rejects_bad_labels():
 # Reference copies of the set-up formulas as first written (array arithmetic
 # over the whole pool, one slice write per client). The rewritten set-up must
 # reproduce their bits: every dataset, partition and metric digest hangs on
-# them.
+# them. The Dirichlet partitioner's and the rounding's copies are in
+# helpers.py, shared with the property tests.
 
 
 def _reference_synthetic(class_count, input_dim, samples_per_class, cluster_spread, seed):
@@ -280,24 +293,6 @@ def _reference_synthetic(class_count, input_dim, samples_per_class, cluster_spre
     noise = gen.standard_normal((n, input_dim))
     labels = np.repeat(np.arange(class_count), samples_per_class)
     return means[labels] + cluster_spread * noise, labels
-
-
-def _reference_dirichlet(ds, n_clients, beta, seed, min_per_client, max_retries):
-    for attempt in range(max_retries):
-        gen = rng.stream(seed, rng.PARTITION, attempt)
-        assignment = np.empty(len(ds), dtype=np.int64)
-        for y in range(ds.class_count):
-            idx = np.nonzero(ds.labels == y)[0]
-            gen.shuffle(idx)
-            shares = gen.dirichlet(np.full(n_clients, beta))
-            counts = data._largest_remainder(shares, idx.shape[0])
-            start = 0
-            for client, c in enumerate(counts):
-                assignment[idx[start : start + c]] = client
-                start += c
-        if np.bincount(assignment, minlength=n_clients).min() >= min_per_client:
-            return assignment
-    return None
 
 
 def _reference_pathological(ds, n_clients, cpc, seed, min_per_client, max_retries):
@@ -323,7 +318,7 @@ def _reference_pathological(ds, n_clients, cpc, seed, min_per_client, max_retrie
                 ok = False
                 break
             shares = gen.dirichlet(np.ones(k))
-            counts = data._largest_remainder(shares, idx.shape[0] - k) + 1
+            counts = reference_largest_remainder(shares, idx.shape[0] - k) + 1
             start = 0
             for client, c in zip(holders, counts):
                 assignment[idx[start : start + c]] = client
@@ -362,7 +357,7 @@ def test_partitioners_equal_the_reference_loops_bitwise(shape):
     ds = _label_pool(10, spc)
     failures = 0
     for seed in range(1, 51):
-        expected = _reference_dirichlet(ds, n_clients, beta, seed, 20, 100)
+        expected, _ = reference_dirichlet(ds, n_clients, beta, seed, 20, 100)
         if expected is None:
             failures += 1
             with pytest.raises(PartitionError):
@@ -385,7 +380,7 @@ def _reference_split(ds_i, test_fraction, quiz_size, seed, client_index):
     test_idx, train_idx = perm[:test_n], perm[test_n:]
     train_labels = ds_i.labels[train_idx]
     classes, class_counts = np.unique(train_labels, return_counts=True)
-    quotas = data._largest_remainder(class_counts / class_counts.sum(), quiz_size)
+    quotas = reference_largest_remainder(class_counts / class_counts.sum(), quiz_size)
     quiz_idx = np.concatenate(
         [train_idx[train_labels == y][:q] for y, q in zip(classes, quotas)]
     )

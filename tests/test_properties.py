@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedguide import cli, nn
+from fedguide import cli, data, nn
 from fedguide.data import Dataset, partition_dirichlet, partition_pathological, split_client
 from fedguide.errors import CheckpointError, PartitionError
 from fedguide.federation import (
@@ -30,7 +30,7 @@ from fedguide.federation import (
 from fedguide.nn import LossConfig, MiniBatch, ModelParams, ModelSpec
 from fedguide.rng import stream
 
-from helpers import small_config, stack_params
+from helpers import reference_dirichlet, small_config, stack_params
 
 SETTINGS = settings(
     derandomize=True,
@@ -207,6 +207,59 @@ def test_partition_meets_its_minimum_or_raises(scheme, n_clients, class_count, p
     sizes = plan.client_sizes()
     assert sizes.sum() == len(ds) and sizes.min() >= minimum
     assert sorted(np.concatenate(plan.shards())) == list(range(len(ds)))
+
+
+@st.composite
+def share_stacks(draw):
+    """An (r, n) stack of share rows and r totals. A row rounded to tenths
+    and renormalised has exactly tied fractional parts; small Dirichlet
+    concentrations and the rounding give zero shares; totals include 0."""
+    r, n = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shares = rng.dirichlet(np.full(n, draw(st.sampled_from([0.05, 1.0, 20.0]))), size=r)
+    for i in range(r):
+        if draw(st.booleans()):
+            tenths = np.round(shares[i], 1)
+            shares[i] = tenths / tenths.sum() if tenths.sum() else tenths
+    totals = draw(st.lists(st.just(0) | st.integers(0, 500), min_size=r, max_size=r))
+    return shares, np.array(totals)
+
+
+@SETUP_SETTINGS
+@given(share_stacks())
+def test_stacked_largest_remainder_rows_equal_one_row_calls(stack):
+    shares, totals = stack
+    counts = data._largest_remainder(shares, totals)
+    assert counts.shape == shares.shape and counts.dtype == np.int64
+    for row, total, got in zip(shares, totals, counts):
+        assert got.tobytes() == data._largest_remainder(row, int(total)).tobytes()
+
+
+@SETUP_SETTINGS
+@given(
+    st.lists(st.integers(0, 40), min_size=1, max_size=6),
+    st.integers(2, 12),
+    st.sampled_from([0.05, 0.1, 0.5, 2.0]),
+    st.integers(0, 30),
+    st.integers(1, 5),
+    st.integers(0, 2**16),
+)
+def test_dirichlet_partition_equals_the_reference(
+    class_sizes, n_clients, beta, minimum, retries, seed
+):
+    # Classes of drawn sizes, their samples shuffled through the pool.
+    labels = np.random.default_rng(seed).permutation(
+        np.repeat(np.arange(len(class_sizes)), class_sizes)
+    )
+    ds = Dataset(np.zeros((labels.shape[0], 1)), labels, len(class_sizes))
+    expected, best = reference_dirichlet(ds, n_clients, beta, seed, minimum, retries)
+    if expected is None:
+        exhausted = rf"after {retries} redraws.*smallest client had {best}\)"
+        with pytest.raises(PartitionError, match=exhausted):
+            partition_dirichlet(ds, n_clients, beta, seed, minimum, max_retries=retries)
+    else:
+        plan = partition_dirichlet(ds, n_clients, beta, seed, minimum, max_retries=retries)
+        assert plan.assignment.tobytes() == expected.tobytes()
 
 
 CHECKPOINT_CONFIG = small_config("fedproto", rounds=3)
