@@ -40,14 +40,6 @@ class PrototypeSet:
     def valid(self) -> np.ndarray:
         return self.counts > 0
 
-    @property
-    def class_count(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
 
 def empty_prototypes(class_count: int, dim: int, space: str) -> PrototypeSet:
     """All-invalid prototype set, the server state before any aggregation."""

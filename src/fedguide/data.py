@@ -170,6 +170,20 @@ def _exhausted(
     )
 
 
+def _assignment(
+    members: list[np.ndarray], orders: list[np.ndarray], counts: np.ndarray
+) -> np.ndarray:
+    """The sample-to-client assignment of an accepted draw: class y's members,
+    taken in ``orders[y]``, go to the clients in index order, ``counts[y, i]``
+    of them to client i."""
+    n_classes, n_clients = counts.shape
+    idx = np.concatenate([m[order] for m, order in zip(members, orders)])
+    owners = np.tile(np.arange(n_clients), n_classes)
+    assignment = np.empty(idx.shape[0], dtype=np.int64)
+    assignment[idx] = np.repeat(owners, counts.ravel())
+    return assignment
+
+
 def partition_dirichlet(
     ds: Dataset,
     n_clients: int,
@@ -207,11 +221,7 @@ def partition_dirichlet(
         counts = _largest_remainder(shares, class_sizes)
         smallest = int(counts.sum(axis=0).min())
         if smallest >= min_per_client:
-            idx = np.concatenate([m[order] for m, order in zip(members, orders)])
-            owners = np.tile(np.arange(n_clients), ds.class_count)
-            assignment = np.empty(len(ds), dtype=np.int64)
-            assignment[idx] = np.repeat(owners, counts.ravel())
-            return PartitionPlan(assignment, n_clients)
+            return PartitionPlan(_assignment(members, orders, counts), n_clients)
         best = max(best, smallest)
     raise _exhausted(
         scheme, max_retries, n_clients, min_per_client, best, "a larger beta or samples_per_class"
@@ -231,6 +241,8 @@ def partition_pathological(
     Class-to-client assignment greedily picks the least-used classes so every
     class is covered; shard sizes within a class come from a symmetric
     Dirichlet draw over its assigned clients, with at least one sample each.
+    As in partition_dirichlet, a draw is judged on its (C, N) counts and only
+    an accepted one builds its assignment.
     """
     C = ds.class_count
     if classes_per_client > C:
@@ -252,20 +264,20 @@ def partition_pathological(
             usage[chosen] += 1
             holds[chosen, i] = True
 
-        assignment = np.empty(len(ds), dtype=np.int64)
+        orders = []
+        counts = np.zeros((C, n_clients), dtype=np.int64)
         for y in range(C):
             holders = np.nonzero(holds[y])[0]
-            idx = gen.permutation(members[y])
-            k = holders.shape[0]
-            if idx.shape[0] < k:
+            size, k = members[y].shape[0], holders.shape[0]
+            orders.append(gen.permutation(size))
+            if size < k:
                 break  # some holder of class y would get no sample
             shares = gen.dirichlet(np.ones(k))
-            counts = _largest_remainder(shares, idx.shape[0] - k) + 1
-            assignment[idx] = np.repeat(holders, counts)
+            counts[y, holders] = _largest_remainder(shares, size - k) + 1
         else:
-            smallest = int(np.bincount(assignment, minlength=n_clients).min())
+            smallest = int(counts.sum(axis=0).min())
             if smallest >= min_per_client:
-                return PartitionPlan(assignment, n_clients)
+                return PartitionPlan(_assignment(members, orders, counts), n_clients)
             best = max(best, smallest)
     raise _exhausted(
         scheme, max_retries, n_clients, min_per_client, best, "a larger samples_per_class"

@@ -9,10 +9,10 @@ order at the end of the round.
 
 Participants sharing an architecture and a study-batch size step together:
 each kernel call of a round covers the whole group as one stack, and every
-client's result equals, bit for bit, what it would compute alone. The
-clients of one architecture keep their parameters as the rows of one array,
-in the order a lockstep epoch steps them, and each group's fixed structure
-is a plan built once and reused while its members stay the same.
+client's result equals, bit for bit, what it would compute alone. Each
+client keeps its parameters in a vector of its own, which its group gathers
+into one stack for the round, and each group's fixed structure is a plan
+built once and reused while its members stay the same.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import math
 import os
 import struct
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
@@ -239,18 +240,12 @@ def task_digest(config: RunConfig) -> str:
 
 @dataclass
 class ClientState:
-    """One client's fixed architecture, current parameters, and local data.
-
-    ``params`` is a view of row ``row`` of ``rows``, the (n_v, P) array that
-    holds every client of this spec, bound once for the run.
-    """
+    """One client's fixed architecture, current parameters, and local data."""
 
     index: int
     spec: ModelSpec
     params: ModelParams
     data: ClientDataset
-    rows: np.ndarray
-    row: int
 
 
 @dataclass
@@ -293,26 +288,16 @@ def build_clients(config: RunConfig) -> list[ClientState]:
         plan = partition_pathological(
             ds, config.n_clients, task.classes_per_client, config.seed, min_per_client
         )
-    data, specs = [], {}
+    clients, specs = [], {}
     for i, shard_idx in enumerate(plan.shards()):
         shard = ds.subset(shard_idx)
-        data.append(split_client(shard, task.test_fraction, config.quiz_size, config.seed, i))
+        data = split_client(shard, task.test_fraction, config.quiz_size, config.seed, i)
         spec = family_spec(
             i, task.input_dim, config.feature_dim, task.class_count, config.activation
         )
-        specs.setdefault(spec, []).append(i)  # one spec object per architecture
-    # One parameter array per spec, its rows in the order a lockstep epoch
-    # steps them (most steps first, then by client index), so that with
-    # rho = 1 a group's rows are one contiguous slice. Each client's
-    # parameters are drawn straight into its row.
-    clients: list[ClientState | None] = [None] * len(data)
-    for spec, members in specs.items():
-        members.sort(key=lambda i: (-(len(data[i].study) // config.batch_size), i))
-        rows = np.empty((len(members), param_count(spec)))
-        for r, i in enumerate(members):
-            gen = rngmod.stream(config.seed, rngmod.MODEL_INIT, i)
-            params = init_params(spec, gen, out=rows[r])
-            clients[i] = ClientState(i, spec, params, data[i], rows, r)
+        spec = specs.setdefault(spec, spec)  # one spec object per architecture
+        params = init_params(spec, rngmod.stream(config.seed, rngmod.MODEL_INIT, i))
+        clients.append(ClientState(i, spec, params, data))
     return clients
 
 
@@ -373,14 +358,10 @@ def _check_stackable(members: list[ClientState], round_index: int):
 
 class _GroupPlan:
     """What one group keeps across rounds while its members stay the same:
-    the members in epoch order, their rows, the stacked quiz or the layout
-    of their study sets, the telemetry-batch buffers, and scratch views,
-    each bound once, and the run's streams and score cache.
-
-    When the members' rows of their spec's array are consecutive, as the
-    rows of every client with a full study batch are at rho = 1, the group
-    steps that slice in place. Otherwise the rows are gathered into scratch
-    each round and written back with one scatter after the epoch.
+    the members in epoch order (most steps first, then by client index),
+    the stacked quiz or the layout of their study sets, the telemetry-batch
+    buffers, and scratch views, each bound once, and the run's streams and
+    score cache.
     """
 
     def __init__(self, plans: RoundPlans, members: list[ClientState], round_index: int):
@@ -389,19 +370,13 @@ class _GroupPlan:
         self.streams = plans.streams
         self.scores = plans.scores
         self.indices = [c.index for c in members]
-        members = sorted(members, key=lambda c: c.row)  # most epoch steps first
+        # members come in client order, and the sort is stable
+        members = sorted(members, key=lambda c: -(len(c.data.study) // config.batch_size))
         self.members = members
         self.member_indices = [c.index for c in members]
         self.spec = spec = members[0].spec
         k, p = len(members), param_count(spec)
-        self.rows = members[0].rows
-        first = members[0].row
-        if [c.row for c in members] == list(range(first, first + k)):
-            self.gather = None
-            self.stack = ModelParams(self.rows[first : first + k])
-        else:
-            self.gather = np.array([c.row for c in members])
-            self.stack = plans.view(0, k, p)
+        self.stack = plans.view(0, k, p)
         self.grad = plans.view(1, k, p)
         self.direction = plans.view(2, k, p) if config.method in GUIDED_METHODS else None
         self.steps = [len(c.data.study) // config.batch_size for c in members]
@@ -423,16 +398,16 @@ class RoundPlans:
     and each client's last evaluation score.
 
     It assumes that only run_round writes its clients' parameters (a score
-    stays cached until a round steps its client's row); run_training makes
-    one after any checkpoint load. Stacked calls need equal shapes, so a
-    group shares the spec and the row counts of the sampled study batch and
-    of the quiz; a study set smaller than batch_size gives its own group.
+    stays cached until a round steps its client); run_training makes one
+    after any checkpoint load. Stacked calls need equal shapes, so a group
+    shares the spec and the row counts of the sampled study batch and of
+    the quiz; a study set smaller than batch_size gives its own group.
 
     Scratch holds the (k, P) arrays a group needs only while its round
-    runs, one buffer per region: 0, the gathered stack of a group whose rows
-    are not contiguous; 1, the gradient (the epoch's, then the telemetry
-    one, then the pseudo-trained parameters stepped from it); 2, the quiz
-    gradient. Groups run one after another, so all plans share the buffers.
+    runs, one buffer per region: 0, the members' parameters gathered into
+    one stack; 1, the gradient (the epoch's, then the telemetry one, then
+    the pseudo-trained parameters stepped from it); 2, the quiz gradient.
+    Groups run one after another, so all plans share the buffers.
     """
 
     def __init__(self, clients: list[ClientState], config: RunConfig):
@@ -442,10 +417,11 @@ class RoundPlans:
         if _noisy(config):
             purposes.append(rngmod.NOISE)
         self.streams = rngmod.RoundStreams(config.seed, purposes, len(clients), config.rounds)
-        # Each client's score, None until evaluated and once its row is stepped.
+        # Each client's score, None until evaluated and once it is stepped.
         self.scores: list[ClientScore | None] = [None] * len(clients)
         k = _participant_count(len(clients), config.rho)  # the largest group
-        self._scratch_size = max(min(c.rows.shape[0], k) * c.rows.shape[1] for c in clients)
+        per_spec = Counter(c.spec for c in clients)
+        self._scratch_size = max(min(n, k) * param_count(s) for s, n in per_spec.items())
         self._buffers: list[np.ndarray | None] = [None] * 3
         self._views: dict[tuple[int, int, int], ModelParams] = {}
         self._plans: dict[tuple, _GroupPlan] = {}
@@ -512,11 +488,11 @@ def _group_work(
 ) -> list[_ClientResult]:
     """All of one round's work for a group: local epoch, telemetry gradient
     and upload, each step one stacked call over the group. Steps the
-    members' rows in place and drops the cached scores of those it stepped."""
+    members' parameters in place and drops the cached scores of those it
+    stepped."""
     spec, members, stack, streams = plan.spec, plan.members, plan.stack, plan.streams
     loss_cfg = _loss_config(config, payload)
-    if plan.gather is not None:
-        np.take(plan.rows, plan.gather, axis=0, out=stack.flat)
+    np.stack([c.params.flat for c in members], out=stack.flat)
     if config.method not in GUIDED_METHODS or round_index > config.warmup:
         with _computing(plan, round_index, "parameters (local epoch)"):
             run_sgd_epoch(
@@ -530,8 +506,9 @@ def _group_work(
                 streams.generators(rngmod.EPOCH, plan.member_indices, round_index),
                 grad=plan.grad,
             )
-            if plan.gather is not None and plan.steps[0]:
-                plan.rows[plan.gather] = stack.flat
+            if plan.steps[0]:
+                for c, row in zip(members, stack.flat):
+                    c.params.flat[...] = row
         for i, steps in zip(plan.member_indices, plan.steps):
             if steps:
                 plan.scores[i] = None
@@ -589,8 +566,8 @@ def _group_work(
 
 def run_round(server: ServerState, plans: RoundPlans) -> tuple[ServerState, RoundMetrics]:
     """Execute one communication round of the run ``plans`` was made for;
-    steps participants' parameter rows and brings the cached evaluation
-    scores up to date, in place.
+    steps participants' parameters and brings the cached evaluation scores
+    up to date, in place.
 
     A round that skips evaluation (eval_every > 1) reports the server's
     last evaluation again. The round runs under a floating-point state that

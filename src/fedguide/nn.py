@@ -145,20 +145,9 @@ class ModelParams:
         return found
 
 
-def init_params(
-    spec: ModelSpec, rng: np.random.Generator, out: np.ndarray | None = None
-) -> ModelParams:
-    """Per-layer uniform init in +-sqrt(6/(fan_in+fan_out)).
-
-    ``out``, when given, is a float64 P-vector (a row of a larger array, say)
-    that each block is drawn straight into; the result is a view of it.
-    """
-    if out is None:
-        out = np.empty(param_count(spec))
-    elif out.shape != (param_count(spec),) or out.dtype != np.float64:
-        raise ContractViolation(
-            f"out is {out.dtype} {out.shape}, expected float64 ({param_count(spec)},)"
-        )
+def init_params(spec: ModelSpec, rng: np.random.Generator) -> ModelParams:
+    """Per-layer uniform init in +-sqrt(6/(fan_in+fan_out))."""
+    out = np.empty(param_count(spec))
     offsets, _ = _layout(spec)
     for (fan_in, fan_out), start, end in zip(affine_dims(spec), offsets, offsets[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))

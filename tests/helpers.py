@@ -185,3 +185,44 @@ def reference_dirichlet(ds, n_clients, beta, seed, min_per_client, max_retries):
             return assignment, best
         best = max(best, smallest)
     return None, best
+
+
+def reference_pathological(ds, n_clients, cpc, seed, min_per_client, max_retries):
+    """partition_pathological as first written: every draw that gives each
+    holder a sample builds its whole assignment, one slice write per
+    client. Returns the accepted assignment (None if every draw was
+    rejected) and the best rejected draw's smallest client."""
+    C = ds.class_count
+    best = 0
+    for attempt in range(max_retries):
+        gen = rng.stream(seed, rng.PARTITION, attempt)
+        usage = np.zeros(C, dtype=np.int64)
+        client_classes = []
+        for _ in range(n_clients):
+            tiebreak = gen.permutation(C)
+            order = np.lexsort((tiebreak, usage))
+            chosen = order[:cpc]
+            usage[chosen] += 1
+            client_classes.append(np.sort(chosen))
+        assignment = np.empty(len(ds), dtype=np.int64)
+        ok = True
+        for y in range(C):
+            holders = np.array([i for i in range(n_clients) if y in client_classes[i]])
+            idx = np.nonzero(ds.labels == y)[0]
+            gen.shuffle(idx)
+            k = holders.shape[0]
+            if idx.shape[0] < k:
+                ok = False
+                break
+            shares = gen.dirichlet(np.ones(k))
+            counts = reference_largest_remainder(shares, idx.shape[0] - k) + 1
+            start = 0
+            for client, c in zip(holders, counts):
+                assignment[idx[start : start + c]] = client
+                start += c
+        if ok:
+            smallest = int(np.bincount(assignment, minlength=n_clients).min())
+            if smallest >= min_per_client:
+                return assignment, best
+            best = max(best, smallest)
+    return None, best

@@ -8,7 +8,7 @@ from fedguide import data, federation, nn, rng
 from fedguide.errors import ContractViolation, DataFormatError, PartitionError
 from fedguide.federation import RunConfig
 
-from helpers import reference_dirichlet, reference_largest_remainder
+from helpers import reference_dirichlet, reference_largest_remainder, reference_pathological
 
 
 def small_pool(seed=0, c=4, n_per=60):
@@ -281,8 +281,8 @@ def test_dataset_rejects_bad_labels():
 # Reference copies of the set-up formulas as first written (array arithmetic
 # over the whole pool, one slice write per client). The rewritten set-up must
 # reproduce their bits: every dataset, partition and metric digest hangs on
-# them. The Dirichlet partitioner's and the rounding's copies are in
-# helpers.py, shared with the property tests.
+# them. The partitioners' and the rounding's copies are in helpers.py,
+# shared with the property tests.
 
 
 def _reference_synthetic(class_count, input_dim, samples_per_class, cluster_spread, seed):
@@ -293,39 +293,6 @@ def _reference_synthetic(class_count, input_dim, samples_per_class, cluster_spre
     noise = gen.standard_normal((n, input_dim))
     labels = np.repeat(np.arange(class_count), samples_per_class)
     return means[labels] + cluster_spread * noise, labels
-
-
-def _reference_pathological(ds, n_clients, cpc, seed, min_per_client, max_retries):
-    C = ds.class_count
-    for attempt in range(max_retries):
-        gen = rng.stream(seed, rng.PARTITION, attempt)
-        usage = np.zeros(C, dtype=np.int64)
-        client_classes = []
-        for _ in range(n_clients):
-            tiebreak = gen.permutation(C)
-            order = np.lexsort((tiebreak, usage))
-            chosen = order[:cpc]
-            usage[chosen] += 1
-            client_classes.append(np.sort(chosen))
-        assignment = np.empty(len(ds), dtype=np.int64)
-        ok = True
-        for y in range(C):
-            holders = np.array([i for i in range(n_clients) if y in client_classes[i]])
-            idx = np.nonzero(ds.labels == y)[0]
-            gen.shuffle(idx)
-            k = holders.shape[0]
-            if idx.shape[0] < k:
-                ok = False
-                break
-            shares = gen.dirichlet(np.ones(k))
-            counts = reference_largest_remainder(shares, idx.shape[0] - k) + 1
-            start = 0
-            for client, c in zip(holders, counts):
-                assignment[idx[start : start + c]] = client
-                start += c
-        if ok and np.bincount(assignment, minlength=n_clients).min() >= min_per_client:
-            return assignment
-    return None
 
 
 @pytest.mark.parametrize("spread", [0.0, 0.3, 0.75])
@@ -365,7 +332,7 @@ def test_partitioners_equal_the_reference_loops_bitwise(shape):
         else:
             plan = data.partition_dirichlet(ds, n_clients, beta, seed, 20, max_retries=100)
             assert plan.assignment.tobytes() == expected.tobytes()
-        expected = _reference_pathological(ds, n_clients, 2, seed, 20, 100)
+        expected, _ = reference_pathological(ds, n_clients, 2, seed, 20, 100)
         plan = data.partition_pathological(ds, n_clients, 2, seed, 20)
         assert plan.assignment.tobytes() == expected.tobytes()
     assert failures <= 1  # paper seed 5 exhausts 100 redraws

@@ -476,10 +476,20 @@ def _outputs(history, clients, server):
     )
 
 
+NOISE = (("noise_s", 0.05), ("noise_p", 0.2))
+# Every method, and the guided ones with privacy noise, whose streams then
+# carry the NOISE purpose too.
+REUSE_CASES = [(m, ()) for m in federation.METHODS] + [("fedl2g-f", NOISE), ("fedl2g-l", NOISE)]
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("method", federation.METHODS)
-def test_reused_plans_equal_fresh_plans_and_a_resume_bitwise(tmp_path, method, seed):
-    cfg = small_config(method, seed=seed, rho=0.5, eval_every=3, rounds=9)
+@pytest.mark.parametrize(
+    "method,overrides",
+    REUSE_CASES,
+    ids=["-".join([m, *(f"{k}={v}" for k, v in o)]) for m, o in REUSE_CASES],
+)
+def test_reused_plans_equal_fresh_plans_and_a_resume_bitwise(tmp_path, method, overrides, seed):
+    cfg = small_config(method, seed=seed, rho=0.5, eval_every=3, rounds=9, **dict(overrides))
     full = run_training(cfg)
     expected = _outputs(full.history, full.clients, full.server)
     # every round through plans of its own, none kept from the round before
@@ -498,17 +508,15 @@ def test_reused_plans_equal_fresh_plans_and_a_resume_bitwise(tmp_path, method, s
         assert got == expected, at
 
 
-def test_rows_of_a_spec_are_one_array_in_epoch_order():
-    cfg = small_config(batch_size=20)
+def test_clients_share_a_spec_per_architecture_and_own_their_parameters():
+    cfg = small_config(n_clients=12)
     clients = build_clients(cfg)
     for c in clients:
-        assert c.params.flat.base is c.rows and np.shares_memory(c.params.flat, c.rows[c.row])
-        same = [d for d in clients if d.spec == c.spec]
-        assert all(d.spec is c.spec and d.rows is c.rows for d in same)
-        order = sorted(same, key=lambda d: (-(len(d.data.study) // cfg.batch_size), d.index))
-        assert [d.row for d in order] == list(range(len(same)))
-    # each client drawn straight into its row, as init_params draws it alone
-    for c in clients:
+        # one spec object per architecture
+        assert all(d.spec is c.spec for d in clients if d.spec == c.spec)
+        assert not any(
+            np.shares_memory(c.params.flat, d.params.flat) for d in clients if d is not c
+        )
         alone = nn.init_params(c.spec, rng.stream(cfg.seed, rng.MODEL_INIT, c.index))
         assert c.params.flat.tobytes() == alone.flat.tobytes()
 

@@ -3,8 +3,9 @@ of each benchmark workload at seed 1, must not change under refactors or
 speed-ups.
 
 The small-run digests were recorded before the per-client evaluation cache
-was added (the tanh and noise cases before the group-array round tail); the
-workload digests before the per-step dispatch trim. The
+was added (the tanh and fedl2g-f noise cases before the group-array round
+tail, the fedl2g-l noise case before clients got parameter vectors of their
+own); the workload digests before the per-step dispatch trim. The
 workloads cover what the small runs miss: the pathological partition, 100
 clients at rho 0.1, batch 40, and study sets smaller than a batch. A
 deliberate numeric change (a new loss, a different data split, another
@@ -48,7 +49,8 @@ GOLDEN = {
         "c69f61595c3ea6a57b808465a9d30df9b693234a2c72400543286efd87f8879f"
     ),
     # The kernel's tanh branch, and privacy noise on uploads built from
-    # stacked class sums: every other case is relu and noise-free.
+    # stacked class sums in both spaces: every other case is relu and
+    # noise-free.
     ("fedl2g-l", (("activation", "tanh"),)): (
         "d4a6ea8baa09a4e4488e848de90cf3e3503230699596d462c142427a5b18b605"
     ),
@@ -60,6 +62,9 @@ GOLDEN = {
     ),
     ("fedl2g-f", (("noise_s", 0.05), ("noise_p", 0.2))): (
         "5d9b8e8f01594bf805bfec1b2194d83074d7dd64c27d323b1da134f40d755a88"
+    ),
+    ("fedl2g-l", (("noise_s", 0.05), ("noise_p", 0.2))): (
+        "40e873734221ba7d167594d229c1d449089fa793f028fd3347cd77d88deb3b97"
     ),
 }
 

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fedguide import cli, data, nn
@@ -30,7 +30,7 @@ from fedguide.federation import (
 from fedguide.nn import LossConfig, MiniBatch, ModelParams, ModelSpec
 from fedguide.rng import stream
 
-from helpers import reference_dirichlet, small_config, stack_params
+from helpers import reference_dirichlet, reference_pathological, small_config, stack_params
 
 SETTINGS = settings(
     derandomize=True,
@@ -259,6 +259,36 @@ def test_dirichlet_partition_equals_the_reference(
             partition_dirichlet(ds, n_clients, beta, seed, minimum, max_retries=retries)
     else:
         plan = partition_dirichlet(ds, n_clients, beta, seed, minimum, max_retries=retries)
+        assert plan.assignment.tobytes() == expected.tobytes()
+
+
+@SETUP_SETTINGS
+@given(
+    st.lists(st.integers(0, 40), min_size=1, max_size=6),
+    st.integers(2, 12),
+    st.integers(1, 6),
+    st.integers(0, 30),
+    st.integers(1, 5),
+    st.integers(0, 2**16),
+)
+def test_pathological_partition_equals_the_reference(
+    class_sizes, n_clients, classes_per_client, minimum, retries, seed
+):
+    cpc = min(classes_per_client, len(class_sizes))
+    assume(n_clients * cpc >= len(class_sizes))
+    # Classes of drawn sizes (an empty one leaves its holders no sample),
+    # their samples shuffled through the pool.
+    labels = np.random.default_rng(seed).permutation(
+        np.repeat(np.arange(len(class_sizes)), class_sizes)
+    )
+    ds = Dataset(np.zeros((labels.shape[0], 1)), labels, len(class_sizes))
+    expected, best = reference_pathological(ds, n_clients, cpc, seed, minimum, retries)
+    if expected is None:
+        exhausted = rf"after {retries} redraws.*smallest client had {best}\)"
+        with pytest.raises(PartitionError, match=exhausted):
+            partition_pathological(ds, n_clients, cpc, seed, minimum, max_retries=retries)
+    else:
+        plan = partition_pathological(ds, n_clients, cpc, seed, minimum, max_retries=retries)
         assert plan.assignment.tobytes() == expected.tobytes()
 
 
