@@ -123,6 +123,11 @@ class TaskConfig:
             raise ConfigError("classes_per_client: must be >= 1")
         if self.class_count < 1:
             raise ConfigError("class_count: must be >= 1")
+        if self.partition == "pathological" and self.classes_per_client > self.class_count:
+            raise ConfigError(
+                f"classes_per_client: must be <= class_count = {self.class_count}, "
+                f"got {self.classes_per_client}"
+            )
         if self.input_dim < 1:
             raise ConfigError("input_dim: must be >= 1")
         if self.source == "synthetic":
@@ -190,6 +195,15 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError("seed: must be >= 0")
         self.task.validate()
+        task = self.task
+        if task.partition == "pathological" and (
+            self.n_clients * task.classes_per_client < task.class_count
+        ):
+            raise ConfigError(
+                f"classes_per_client: n_clients * classes_per_client = "
+                f"{self.n_clients * task.classes_per_client} is below class_count = "
+                f"{task.class_count}, which leaves some class unassigned"
+            )
 
     @property
     def space(self) -> str | None:
@@ -288,16 +302,15 @@ def build_clients(config: RunConfig) -> list[ClientState]:
         plan = partition_pathological(
             ds, config.n_clients, task.classes_per_client, config.seed, min_per_client
         )
+    splits = split_client(ds, plan, task.test_fraction, config.quiz_size, config.seed)
+    inits = rngmod.client_streams(config.seed, rngmod.MODEL_INIT, config.n_clients)
     clients, specs = [], {}
-    for i, shard_idx in enumerate(plan.shards()):
-        shard = ds.subset(shard_idx)
-        data = split_client(shard, task.test_fraction, config.quiz_size, config.seed, i)
+    for i, (data, gen) in enumerate(zip(splits, inits)):
         spec = family_spec(
             i, task.input_dim, config.feature_dim, task.class_count, config.activation
         )
         spec = specs.setdefault(spec, spec)  # one spec object per architecture
-        params = init_params(spec, rngmod.stream(config.seed, rngmod.MODEL_INIT, i))
-        clients.append(ClientState(i, spec, params, data))
+        clients.append(ClientState(i, spec, init_params(spec, gen), data))
     return clients
 
 

@@ -8,10 +8,11 @@ stepped, and a run resumed at round t draws exactly the numbers an
 uninterrupted run would.
 
 ``stream`` builds one generator through ``np.random.SeedSequence``.
-``RoundStreams`` gives the same generators, bit for bit, for the streams a
-run draws per client and round: it derives their seed words a block of
-rounds at a time with ``seed_words``, numpy's SeedSequence mixing done on
-whole columns of keys, and seeds each ``PCG64`` from its precomputed words.
+``client_streams`` and ``RoundStreams`` give the same generators, bit for
+bit, for the streams a run draws per client (at set-up) and per client and
+round: they derive the seed words with ``seed_words``, numpy's SeedSequence
+mixing done on whole columns of keys, and seed each ``PCG64`` from its
+precomputed words. ``RoundStreams`` does so a block of rounds at a time.
 """
 
 from __future__ import annotations
@@ -135,6 +136,20 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """The generator a SeedSequence whose state words are ``words`` seeds."""
+    return np.random.Generator(np.random.PCG64(_StateWords(words)))
+
+
+def client_streams(seed: int, purpose: int, n_clients: int) -> list[np.random.Generator]:
+    """``stream(seed, purpose, i)`` for every client i, bit for bit, with the
+    seed words of all of them derived in one ``seed_words`` pass."""
+    keys = np.empty((n_clients, 2), np.int64)
+    keys[:, 0] = purpose
+    keys[:, 1] = np.arange(n_clients)
+    return [_generator(words) for words in seed_words(seed, keys)]
+
+
 # Streams whose words RoundStreams derives at once: 128 KB of words, and
 # about 0.2 ms per block.
 _BLOCK_STREAMS = 4096
@@ -183,4 +198,4 @@ class RoundStreams:
             self._derive(round_index)
             r = 0
         words = self._words[r, self._slot[purpose]]
-        return [np.random.Generator(np.random.PCG64(_StateWords(words[i]))) for i in clients]
+        return [_generator(words[i]) for i in clients]

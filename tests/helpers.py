@@ -226,3 +226,21 @@ def reference_pathological(ds, n_clients, cpc, seed, min_per_client, max_retries
                 return assignment, best
             best = max(best, smallest)
     return None, best
+
+
+def reference_split(ds_i, test_fraction, quiz_size, seed, client_index):
+    """split_client as first written, on one client's shard: np.unique
+    counts, a per-class mask loop for the quiz and np.setdiff1d for the
+    study set. Returns the study, quiz and test sets as Datasets."""
+    gen = rng.stream(seed, rng.SPLIT, client_index)
+    perm = gen.permutation(len(ds_i))
+    test_n = max(1, int(len(ds_i) * test_fraction))
+    test_idx, train_idx = perm[:test_n], perm[test_n:]
+    train_labels = ds_i.labels[train_idx]
+    classes, class_counts = np.unique(train_labels, return_counts=True)
+    quotas = reference_largest_remainder(class_counts / class_counts.sum(), quiz_size)
+    quiz_idx = np.concatenate(
+        [train_idx[train_labels == y][:q] for y, q in zip(classes, quotas)]
+    )
+    study_idx = np.setdiff1d(train_idx, quiz_idx)
+    return ds_i.subset(study_idx), ds_i.subset(quiz_idx), ds_i.subset(test_idx)

@@ -4,6 +4,7 @@ determinism and round-trips, summaries, and comparisons."""
 import dataclasses
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -417,6 +418,26 @@ def test_bad_option_values_rejected_before_any_output(
     assert main(["run", *argv, "--out", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--partition", "pathological:11"], "must be <= class_count = 10, got 11"),
+        (["--partition", "pathological:1", "--clients", "5"], "= 5 is below class_count = 10"),
+    ],
+    ids=["more-than-class-count", "too-few-to-cover"],
+)
+def test_infeasible_pathological_partition_rejected_before_any_output(
+    argv, message, tmp_path, capsys
+):
+    argv = [*argv, "--rounds", "3", "--warmup", "1"]
+    with pytest.raises(ConfigError, match=f"^classes_per_client: .*{re.escape(message)}"):
+        parse_config(argv)
+    out = tmp_path / "out"
+    assert main(["run", *argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: classes_per_client: ")
 
 
 def test_unreadable_data_file_fails_the_run_with_a_marker(tmp_path, capsys):

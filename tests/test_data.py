@@ -8,7 +8,12 @@ from fedguide import data, federation, nn, rng
 from fedguide.errors import ContractViolation, DataFormatError, PartitionError
 from fedguide.federation import RunConfig
 
-from helpers import reference_dirichlet, reference_largest_remainder, reference_pathological
+from helpers import (
+    reference_dirichlet,
+    reference_largest_remainder,
+    reference_pathological,
+    reference_split,
+)
 
 
 def small_pool(seed=0, c=4, n_per=60):
@@ -216,9 +221,16 @@ def test_pathological_deterministic():
     assert np.array_equal(a.assignment, b.assignment)
 
 
+def one_client_split(ds, **kwargs):
+    """split_client on a plan that gives the whole pool to one client."""
+    plan = data.PartitionPlan(np.zeros(len(ds), dtype=np.int64), 1)
+    (cd,) = data.split_client(ds, plan, **kwargs)
+    return cd
+
+
 def test_split_client_arithmetic():
     ds = small_pool(c=4, n_per=10)  # 40 samples
-    cd = data.split_client(ds, test_fraction=0.25, quiz_size=10, seed=0, client_index=0)
+    cd = one_client_split(ds, test_fraction=0.25, quiz_size=10, seed=0)
     assert len(cd.test) == 10
     assert len(cd.quiz) == 10
     assert len(cd.study) == 20
@@ -227,7 +239,7 @@ def test_split_client_arithmetic():
 @pytest.mark.parametrize("seed", range(8))
 def test_split_client_disjoint_every_seed(seed):
     ds = small_pool(c=4, n_per=12)
-    cd = data.split_client(ds, seed=seed, client_index=seed)
+    cd = one_client_split(ds, seed=seed)
     # rebuild index sets by matching rows (inputs are unique w.h.p.)
     def keys(mat):
         return {tuple(np.round(row, 9)) for row in mat}
@@ -240,7 +252,7 @@ def test_split_client_disjoint_every_seed(seed):
 
 def test_split_client_quiz_stratified():
     ds = small_pool(c=4, n_per=12)
-    cd = data.split_client(ds, quiz_size=10, seed=1, client_index=2)
+    cd = one_client_split(ds, quiz_size=10, seed=1)
     quiz_classes = set(cd.quiz.labels.tolist())
     assert len(quiz_classes) >= min(10, 4)
 
@@ -248,7 +260,7 @@ def test_split_client_quiz_stratified():
 def test_split_client_tiny_quiz_supported():
     ds = small_pool(c=4, n_per=5)
     for quiz_size in (2, 5):
-        cd = data.split_client(ds, quiz_size=quiz_size, seed=0, client_index=0)
+        cd = one_client_split(ds, quiz_size=quiz_size, seed=0)
         assert len(cd.quiz) == quiz_size
         assert len(set(cd.quiz.labels.tolist())) == min(quiz_size, 4)
 
@@ -259,7 +271,7 @@ def test_split_client_quiz_follows_training_class_proportions():
     keep = np.concatenate([np.arange(90), np.arange(90, 95), np.arange(180, 185)])
     ds = pool.subset(keep)
     for seed in range(4):
-        cd = data.split_client(ds, quiz_size=10, seed=seed, client_index=seed)
+        cd = one_client_split(ds, quiz_size=10, seed=seed)
         train_labels = np.concatenate([cd.study.labels, cd.quiz.labels])
         train_counts = np.bincount(train_labels, minlength=3)
         expected = reference_largest_remainder(train_counts / train_counts.sum(), 10)
@@ -268,9 +280,29 @@ def test_split_client_quiz_follows_training_class_proportions():
 
 
 def test_split_client_too_few_samples_names_client():
-    ds = small_pool(c=2, n_per=5)  # 10 samples < quiz 10 + 4
-    with pytest.raises(PartitionError, match="client 7"):
-        data.split_client(ds, quiz_size=10, seed=0, client_index=7)
+    ds = small_pool(c=2, n_per=75)  # clients 0-6 get 20 samples, client 7 only 10 < 10 + 4
+    plan = data.PartitionPlan(np.repeat(np.arange(8), [20] * 7 + [10]), 8)
+    with pytest.raises(PartitionError, match="client 7: 10 samples"):
+        data.split_client(ds, plan, quiz_size=10, seed=0)
+
+
+def test_split_client_raises_for_the_lowest_failing_client():
+    # Client 1's 14 samples pass the size check, but half go to its test
+    # split; client 2 fails the size check too, and the lower index wins.
+    ds = small_pool(c=2, n_per=25)
+    plan = data.PartitionPlan(np.repeat(np.arange(4), [24, 14, 9, 3]), 4)
+    message = "client 1: only 7 training samples after the test split, need quiz_size + 1 = 11"
+    with pytest.raises(PartitionError) as exc:
+        data.split_client(ds, plan, test_fraction=0.5, quiz_size=10, seed=0)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("bound", [3, 2**16, 2**16 + 1])
+def test_stable_order_equals_a_stable_argsort(bound):
+    keys = np.random.default_rng(bound).integers(0, bound, 5000)
+    keys[:3] = bound - 1  # the largest key, tied
+    expected = np.argsort(keys, kind="stable")
+    assert data._stable_order(keys, bound).tobytes() == expected.tobytes()
 
 
 def test_dataset_rejects_bad_labels():
@@ -281,8 +313,8 @@ def test_dataset_rejects_bad_labels():
 # Reference copies of the set-up formulas as first written (array arithmetic
 # over the whole pool, one slice write per client). The rewritten set-up must
 # reproduce their bits: every dataset, partition and metric digest hangs on
-# them. The partitioners' and the rounding's copies are in helpers.py,
-# shared with the property tests.
+# them. The partitioners', the split's and the rounding's copies are in
+# helpers.py, shared with the property tests.
 
 
 def _reference_synthetic(class_count, input_dim, samples_per_class, cluster_spread, seed):
@@ -338,23 +370,6 @@ def test_partitioners_equal_the_reference_loops_bitwise(shape):
     assert failures <= 1  # paper seed 5 exhausts 100 redraws
 
 
-def _reference_split(ds_i, test_fraction, quiz_size, seed, client_index):
-    """split_client as first written: np.unique counts, a per-class mask
-    loop for the quiz and np.setdiff1d for the study set."""
-    gen = rng.stream(seed, rng.SPLIT, client_index)
-    perm = gen.permutation(len(ds_i))
-    test_n = max(1, int(len(ds_i) * test_fraction))
-    test_idx, train_idx = perm[:test_n], perm[test_n:]
-    train_labels = ds_i.labels[train_idx]
-    classes, class_counts = np.unique(train_labels, return_counts=True)
-    quotas = reference_largest_remainder(class_counts / class_counts.sum(), quiz_size)
-    quiz_idx = np.concatenate(
-        [train_idx[train_labels == y][:q] for y, q in zip(classes, quotas)]
-    )
-    study_idx = np.setdiff1d(train_idx, quiz_idx)
-    return ds_i.subset(study_idx), ds_i.subset(quiz_idx), ds_i.subset(test_idx)
-
-
 # The two task shapes of the benchmark's workloads: the paper task, and
 # wide-l's 100 clients with two classes each.
 SPLIT_SHAPES = {
@@ -381,7 +396,7 @@ def test_client_shards_and_splits_equal_the_reference_bitwise(shape):
             plan = data.partition_pathological(ds, config.n_clients, 2, seed, 20)
         for i, client in enumerate(clients):
             shard = ds.subset(np.nonzero(plan.assignment == i)[0])
-            study, quiz, test = _reference_split(shard, 0.25, 10, seed, i)
+            study, quiz, test = reference_split(shard, 0.25, 10, seed, i)
             got = client.data
             for part, expected in [(got.study, study), (got.quiz, quiz), (got.test, test)]:
                 assert part.inputs.tobytes() == expected.inputs.tobytes(), (seed, i)

@@ -17,7 +17,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from fedguide import cli, data, nn
-from fedguide.data import Dataset, partition_dirichlet, partition_pathological, split_client
+from fedguide.data import (
+    Dataset,
+    PartitionPlan,
+    partition_dirichlet,
+    partition_pathological,
+    split_client,
+)
 from fedguide.errors import CheckpointError, PartitionError
 from fedguide.federation import (
     ServerState,
@@ -30,7 +36,13 @@ from fedguide.federation import (
 from fedguide.nn import LossConfig, MiniBatch, ModelParams, ModelSpec
 from fedguide.rng import stream
 
-from helpers import reference_dirichlet, reference_pathological, small_config, stack_params
+from helpers import (
+    reference_dirichlet,
+    reference_pathological,
+    reference_split,
+    small_config,
+    stack_params,
+)
 
 SETTINGS = settings(
     derandomize=True,
@@ -164,7 +176,13 @@ def test_split_is_disjoint_covers_the_shard_and_quizzes_in_proportion(
     labels = rng.integers(0, class_count, n)
     inputs = np.arange(n, dtype=np.float64)[:, None]  # each row carries its index
     try:
-        split = split_client(Dataset(inputs, labels, class_count), test_fraction, quiz_size, seed)
+        (split,) = split_client(
+            Dataset(inputs, labels, class_count),
+            PartitionPlan(np.zeros(n, dtype=np.int64), 1),
+            test_fraction,
+            quiz_size,
+            seed,
+        )
     except PartitionError:
         assert n - max(1, int(n * test_fraction)) < quiz_size + 1
         return
@@ -179,6 +197,53 @@ def test_split_is_disjoint_covers_the_shard_and_quizzes_in_proportion(
     expected = largest_remainder_reference([int(train[y]) for y in present], quiz_size)
     quiz = np.bincount(split.quiz.labels, minlength=class_count)
     assert [int(quiz[y]) for y in present] == expected
+
+
+def _split_error(sizes, test_fraction, quiz_size):
+    """The message of the lowest-index client too small to split, or None."""
+    for i, n in enumerate(sizes):
+        if n < quiz_size + 4:
+            return f"client {i}: {n} samples, need at least {quiz_size + 4}"
+        train = n - max(1, int(n * test_fraction))
+        if train < quiz_size + 1:
+            return (
+                f"client {i}: only {train} training samples after the test split, "
+                f"need quiz_size + 1 = {quiz_size + 1}"
+            )
+    return None
+
+
+@SETUP_SETTINGS
+@given(
+    st.lists(st.integers(0, 30), min_size=1, max_size=6),
+    st.integers(1, 8),
+    st.integers(1, 10),
+    st.sampled_from([0.1, 0.25, 0.5, 0.9]),
+    st.integers(0, 2**16),
+)
+def test_split_of_every_client_equals_the_one_client_reference(
+    class_sizes, n_clients, quiz_size, test_fraction, seed
+):
+    # Classes of drawn sizes shuffled through the pool, and an assignment
+    # from drawn client shares, so that some clients are too small to split.
+    gen = np.random.default_rng(seed)
+    labels = gen.permutation(np.repeat(np.arange(len(class_sizes)), class_sizes))
+    ds = Dataset(gen.standard_normal((labels.shape[0], 3)), labels, len(class_sizes))
+    shares = gen.dirichlet(np.ones(n_clients))
+    plan = PartitionPlan(gen.choice(n_clients, labels.shape[0], p=shares), n_clients)
+    error = _split_error(plan.client_sizes(), test_fraction, quiz_size)
+    if error is not None:
+        with pytest.raises(PartitionError) as exc:
+            split_client(ds, plan, test_fraction, quiz_size, seed)
+        assert str(exc.value) == error
+        return
+    splits = split_client(ds, plan, test_fraction, quiz_size, seed)
+    assert len(splits) == n_clients
+    for i, (got, shard) in enumerate(zip(splits, plan.shards())):
+        expected = reference_split(ds.subset(shard), test_fraction, quiz_size, seed, i)
+        for part, want in zip([got.study, got.quiz, got.test], expected):
+            assert part.inputs.tobytes() == want.inputs.tobytes(), i
+            assert part.labels.tobytes() == want.labels.tobytes(), i
 
 
 @SETUP_SETTINGS

@@ -4,6 +4,8 @@ SeedSequence, for every seed a run accepts and every round of a run."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedguide import rng
 from fedguide.errors import ContractViolation
@@ -63,6 +65,35 @@ def test_round_streams_draw_what_stream_draws(seed):
                 expected = rng.stream(seed, purpose, client, round_index)
                 assert gen.bit_generator.state == expected.bit_generator.state
                 assert np.array_equal(gen.permutation(30), expected.permutation(30))
+
+
+PURPOSES = (
+    rng.DATA,
+    rng.PARTITION,
+    rng.SPLIT,
+    rng.MODEL_INIT,
+    rng.GUIDE_INIT,
+    rng.PARTICIPATION,
+    rng.EPOCH,
+    rng.BATCH,
+    rng.NOISE,
+)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.sampled_from(SEEDS) | st.integers(0, 2**32 - 1) | st.integers(2**32, 2**130),
+    st.sampled_from(PURPOSES),
+    st.integers(1, 40),
+)
+def test_client_streams_draw_what_stream_draws(seed, purpose, n_clients):
+    gens = rng.client_streams(seed, purpose, n_clients)
+    assert len(gens) == n_clients
+    for client, gen in enumerate(gens):
+        expected = rng.stream(seed, purpose, client)
+        assert gen.bit_generator.state == expected.bit_generator.state
+        assert np.array_equal(gen.permutation(30), expected.permutation(30))
+        assert gen.random(4).tobytes() == expected.random(4).tobytes()
 
 
 def test_round_streams_derive_a_bounded_block_from_any_round():

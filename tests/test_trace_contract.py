@@ -48,15 +48,17 @@ KERNEL_CALLS = {
 }
 
 # rng.stream calls of small_config(rounds=4) by purpose, the same for every
-# method: the one-off set-up and participation draws go through the traced
-# name, while the per-client EPOCH and BATCH (and NOISE) streams come from
-# the run's precomputed table. A count that moves shows that a draw was
-# routed around the traced name, or back through it.
+# method: the one-off data, partition and participation draws go through
+# the traced name, while the per-client streams come from precomputed
+# words: the set-up's SPLIT and MODEL_INIT streams from one derivation per
+# purpose, and the per-round EPOCH and BATCH (and NOISE) streams from the
+# run's table. A count that moves shows that a draw was routed around the
+# traced name, or back through it.
 STREAM_CALLS = {
     "DATA": 1,
     "PARTITION": 1,
-    "SPLIT": 6,
-    "MODEL_INIT": 6,
+    "SPLIT": 0,
+    "MODEL_INIT": 0,
     "PARTICIPATION": 4,
     "EPOCH": 0,
     "BATCH": 0,
