@@ -49,12 +49,6 @@ class PartitionPlan:
     assignment: np.ndarray  # (n,) client index
     n_clients: int
 
-    def shards(self) -> list[np.ndarray]:
-        """Every client's sample indices, ascending, cut from one stable sort
-        of the assignment."""
-        order = np.argsort(self.assignment, kind="stable")
-        return np.split(order, np.cumsum(self.client_sizes())[:-1])
-
     def client_sizes(self) -> np.ndarray:
         return np.bincount(self.assignment, minlength=self.n_clients)
 

@@ -729,6 +729,12 @@ def _check_checkpoint_at(at: int | None, t: int, rounds: int):
 
 _MAGIC = b"FGCK"
 _CKPT_VERSION = 2
+# The payload type of each kind; a method's server carries exactly one.
+_PAYLOAD_TYPES = (type(None), GuidingVectorSet, PrototypeSet)
+
+
+def _payload_kind(method: str) -> int:
+    return 1 if method in GUIDED_METHODS else 2 if method in PROTO_METHODS else 0
 
 
 @contextmanager
@@ -751,16 +757,21 @@ def atomic_open(path: str, mode: str = "w", **kwargs):
 def save_checkpoint(
     path: str, config: RunConfig, server: ServerState, clients: list[ClientState]
 ):
+    payload, kind = server.payload, _payload_kind(config.method)
+    if not isinstance(payload, _PAYLOAD_TYPES[kind]):
+        raise ContractViolation(
+            f"{config.method} checkpoints hold payload kind {kind} "
+            f"({_PAYLOAD_TYPES[kind].__name__}), got a {type(payload).__name__}"
+        )
     digest = config_digest(config).encode()
     with atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IQQd", _CKPT_VERSION, config.seed, server.t, server.min_ce))
         fh.write(struct.pack("<H", len(digest)))
         fh.write(digest)
-        payload = server.payload
-        if payload is None:
+        if kind == 0:
             fh.write(struct.pack("<B", 0))
-        elif isinstance(payload, GuidingVectorSet):
+        elif kind == 1:
             c, m = payload.vectors.shape
             fh.write(struct.pack("<BQQQ", 1, payload.version, c, m))
             fh.write(payload.vectors.astype("<f8").tobytes())
@@ -813,10 +824,14 @@ def load_checkpoint(path: str, config: RunConfig, clients: list[ClientState]) ->
         if seed != config.seed:
             raise CheckpointError(f"{path}: seed mismatch")
         (kind,) = struct.unpack("<B", _read_exact(fh, 1))
-        payload: GuidingVectorSet | PrototypeSet | None
-        if kind == 0:
-            payload = None
-        elif kind == 1:
+        expected_kind = _payload_kind(config.method)
+        if kind != expected_kind:
+            raise CheckpointError(
+                f"{path}: payload kind {kind} does not match method {config.method}, "
+                f"which holds kind {expected_kind}"
+            )
+        payload: GuidingVectorSet | PrototypeSet | None = None
+        if kind == 1:
             gv_version, c, m = struct.unpack("<QQQ", _read_exact(fh, 24))
             _check_header_field(path, "C", c, config.task.class_count)
             _check_header_field(path, "M", m, config.vector_dim)
@@ -829,8 +844,6 @@ def load_checkpoint(path: str, config: RunConfig, clients: list[ClientState]) ->
             counts = np.frombuffer(_read_exact(fh, 8 * c), dtype="<u8").astype(np.int64)
             vectors = np.frombuffer(_read_exact(fh, 8 * c * m), dtype="<f8").reshape(c, m)
             payload = PrototypeSet(vectors.copy(), counts, method_space(config.method))
-        else:
-            raise CheckpointError(f"{path}: unknown payload kind {kind}")
         (n_clients,) = struct.unpack("<Q", _read_exact(fh, 8))
         _check_header_field(path, "n_clients", n_clients, len(clients))
         has_evaluation, accuracy, mean_ce = struct.unpack("<Bdd", _read_exact(fh, 17))

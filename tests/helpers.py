@@ -228,6 +228,11 @@ def reference_pathological(ds, n_clients, cpc, seed, min_per_client, max_retries
     return None, best
 
 
+def plan_shards(plan):
+    """Every client's sample indices, ascending, one mask per client."""
+    return [np.flatnonzero(plan.assignment == i) for i in range(plan.n_clients)]
+
+
 def reference_split(ds_i, test_fraction, quiz_size, seed, client_index):
     """split_client as first written, on one client's shard: np.unique
     counts, a per-class mask loop for the quiz and np.setdiff1d for the

@@ -9,6 +9,7 @@ from fedguide.errors import ContractViolation, DataFormatError, PartitionError
 from fedguide.federation import RunConfig
 
 from helpers import (
+    plan_shards,
     reference_dirichlet,
     reference_largest_remainder,
     reference_pathological,
@@ -107,7 +108,7 @@ def test_dirichlet_conserves_samples():
     # per-class counts conserved exactly
     for y in range(ds.class_count):
         assert (ds.labels == y).sum() == sum(
-            (ds.labels[shard] == y).sum() for shard in plan.shards()
+            (ds.labels[shard] == y).sum() for shard in plan_shards(plan)
         )
 
 
@@ -125,8 +126,8 @@ def test_dirichlet_huge_beta_near_uniform(seed):
     n_clients = 4
     plan = data.partition_dirichlet(ds, n_clients, 1e6, seed=seed, min_per_client=10)
     for y in range(4):
-        labels = ds.labels[np.concatenate(plan.shards())]
-        for shard in plan.shards():
+        labels = ds.labels[np.concatenate(plan_shards(plan))]
+        for shard in plan_shards(plan):
             count = (ds.labels[shard] == y).sum()
             share = count / (ds.labels == y).sum()
             assert abs(share - 1 / n_clients) <= 0.2 / n_clients
@@ -185,7 +186,7 @@ def test_pathological_class_inventories():
     ds = small_pool(c=4)
     plan = data.partition_pathological(ds, 2, 2, seed=3, min_per_client=10)
     seen = set()
-    for shard in plan.shards():
+    for shard in plan_shards(plan):
         inventory = set(ds.labels[shard].tolist())
         assert len(inventory) == 2
         seen |= inventory
@@ -195,14 +196,14 @@ def test_pathological_class_inventories():
 def test_pathological_full_inventory_degenerate():
     ds = small_pool(c=3)
     plan = data.partition_pathological(ds, 3, 3, seed=5, min_per_client=10)
-    for shard in plan.shards():
+    for shard in plan_shards(plan):
         assert set(ds.labels[shard].tolist()) == {0, 1, 2}
 
 
 def test_pathological_partition_property():
     ds = small_pool(c=5, n_per=40)
     plan = data.partition_pathological(ds, 4, 3, seed=7, min_per_client=10)
-    all_idx = np.concatenate(plan.shards())
+    all_idx = np.concatenate(plan_shards(plan))
     assert sorted(all_idx.tolist()) == list(range(len(ds)))  # union, no duplicates
 
 

@@ -237,6 +237,32 @@ def test_checkpoint_rejects_forged_class_count_before_reading_payload(tmp_path):
         load_checkpoint(str(path), cfg, build_clients(cfg))
 
 
+@pytest.mark.parametrize("method, kind", [("fedproto", 1), ("local-only", 2), ("fedl2g-f", 0)])
+def test_checkpoint_rejects_a_payload_kind_the_method_does_not_hold(tmp_path, method, kind):
+    cfg = small_config(method, rounds=4)
+    path, blob = _checkpoint_bytes(tmp_path, cfg)
+    kind_offset = 4 + 28 + 2 + len(config_digest(cfg))
+    # cut after the kind byte: reading any payload data would report truncation
+    path.write_bytes(bytes(blob[:kind_offset]) + bytes([kind]))
+    match = f"payload kind {kind} does not match method {method}"
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(str(path), cfg, build_clients(cfg))
+
+
+@pytest.mark.parametrize(
+    "method, payload_method",
+    [("fedproto", "fedl2g-f"), ("local-only", "fedl2g-l"), ("fedl2g-f", "local-only")],
+)
+def test_save_checkpoint_rejects_a_payload_the_method_does_not_hold(
+    tmp_path, method, payload_method
+):
+    cfg = small_config(method, rounds=4)
+    server = build_server(small_config(payload_method, rounds=4))
+    with pytest.raises(ContractViolation, match=f"{method} checkpoints hold payload kind"):
+        save_checkpoint(str(tmp_path / "run.ckpt"), cfg, server, build_clients(cfg))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_checkpoint_rejects_wrong_param_count_and_leaves_clients_untouched(tmp_path):
     cfg = small_config(rounds=4)
     path, blob = _checkpoint_bytes(tmp_path, cfg)

@@ -37,6 +37,7 @@ from fedguide.nn import LossConfig, MiniBatch, ModelParams, ModelSpec
 from fedguide.rng import stream
 
 from helpers import (
+    plan_shards,
     reference_dirichlet,
     reference_pathological,
     reference_split,
@@ -239,7 +240,7 @@ def test_split_of_every_client_equals_the_one_client_reference(
         return
     splits = split_client(ds, plan, test_fraction, quiz_size, seed)
     assert len(splits) == n_clients
-    for i, (got, shard) in enumerate(zip(splits, plan.shards())):
+    for i, (got, shard) in enumerate(zip(splits, plan_shards(plan))):
         expected = reference_split(ds.subset(shard), test_fraction, quiz_size, seed, i)
         for part, want in zip([got.study, got.quiz, got.test], expected):
             assert part.inputs.tobytes() == want.inputs.tobytes(), i
@@ -271,7 +272,7 @@ def test_partition_meets_its_minimum_or_raises(scheme, n_clients, class_count, p
         return
     sizes = plan.client_sizes()
     assert sizes.sum() == len(ds) and sizes.min() >= minimum
-    assert sorted(np.concatenate(plan.shards())) == list(range(len(ds)))
+    assert sorted(np.concatenate(plan_shards(plan))) == list(range(len(ds)))
 
 
 @st.composite
@@ -394,7 +395,7 @@ def test_truncated_checkpoint_raises_checkpoint_error(checkpoint_bytes, data):
 
 @settings(derandomize=True, max_examples=10, deadline=None)
 @given(
-    st.sampled_from(["fedl2g-l", "fedl2g-f", "fedproto", "local-only"]),
+    st.sampled_from(["fedl2g-l", "fedl2g-f", "fedproto", "feddistill", "local-only"]),
     st.integers(0, 2**64 - 1),
     st.integers(0, 8),
     st.one_of(st.just(np.inf), st.floats(0, 10)),

@@ -11,9 +11,10 @@ from fedguide import rng
 from fedguide.errors import ContractViolation
 
 # One word, the largest one-word seed, the first two-word seed, a three-word
-# seed and a seven-word one: the entropy is padded to the pool size only
-# below four words.
-SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 7)
+# seed, four- and five-word seeds and a seven-word one: the entropy is padded
+# to the pool size only below four words, and only words past the fourth
+# advance the seed stage's hash constant further.
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96, 2**128, 2**200 + 7)
 N, T = 20, 200
 
 
