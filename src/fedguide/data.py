@@ -39,7 +39,13 @@ class Dataset:
         return self.inputs.shape[0]
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(self.inputs[idx], self.labels[idx], self.class_count)
+        """The samples at ``idx`` (a 1-D index array or mask), not checked
+        again: a cut of a checked dataset has its dtypes, its ranks and its
+        labels' range."""
+        cut = object.__new__(Dataset)
+        cut.inputs, cut.labels = self.inputs[idx], self.labels[idx]
+        cut.class_count = self.class_count
+        return cut
 
 
 @dataclass
@@ -307,7 +313,8 @@ def split_client(
     a class-balanced one.
 
     The cuts, quotas and ranks of all clients are computed in one pass over
-    the plan; each client's sets are then gathered from the pool. A client
+    the plan; each client's sets are then gathered from the pool, cuts of a
+    checked pool that are not checked again (see Dataset.subset). A client
     too small to split raises, the lowest-index one first.
     """
     n_clients, C = plan.n_clients, ds.class_count
@@ -360,8 +367,14 @@ def split_client(
     studies = np.split(study_rows, np.cumsum(train_n - quiz_size)[:-1])
     tests = np.split(rows[is_test], np.cumsum(test_n)[:-1])
     return [
-        ClientDataset(
-            ds.subset(study), MiniBatch(ds.inputs[quiz], ds.labels[quiz]), ds.subset(test)
-        )
+        ClientDataset(ds.subset(study), _quiz_batch(ds, quiz), ds.subset(test))
         for study, quiz, test in zip(studies, quiz_rows, tests)
     ]
+
+
+def _quiz_batch(ds: Dataset, rows: np.ndarray) -> MiniBatch:
+    """The samples at ``rows`` as a MiniBatch, cut from the checked pool like
+    Dataset.subset, so not checked again."""
+    batch = object.__new__(MiniBatch)
+    batch.inputs, batch.labels, batch._terms = ds.inputs[rows], ds.labels[rows], None
+    return batch

@@ -304,12 +304,11 @@ def build_clients(config: RunConfig) -> list[ClientState]:
         )
     splits = split_client(ds, plan, task.test_fraction, config.quiz_size, config.seed)
     inits = rngmod.client_streams(config.seed, rngmod.MODEL_INIT, config.n_clients)
-    clients, specs = [], {}
+    clients = []
     for i, (data, gen) in enumerate(zip(splits, inits)):
         spec = family_spec(
             i, task.input_dim, config.feature_dim, task.class_count, config.activation
         )
-        spec = specs.setdefault(spec, spec)  # one spec object per architecture
         clients.append(ClientState(i, spec, init_params(spec, gen), data))
     return clients
 

@@ -32,6 +32,13 @@ alone. Each product is one stacked ``np.matmul`` over equal-shaped slices,
 which computes every slice exactly as the unstacked 2-D product does; rows
 of different sizes are never padded or concatenated, because a BLAS row
 result can depend on the row count.
+
+A gradient's zeros may carry either sign: each keeps the sign the sums and
+products that made it give it, and none is made +0.0 afterwards. No output
+reads the sign. A parameter is never -0.0 (init gives -b + 2b*u, at worst +0.0,
+and x - y is -0.0 only when x is), so a step theta - eta * g is the same
+for g = +-0; a squared norm drops the sign; and a sum into a zeroed buffer
+turns -0.0 into +0.0.
 """
 
 from __future__ import annotations
@@ -146,12 +153,20 @@ class ModelParams:
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> ModelParams:
-    """Per-layer uniform init in +-sqrt(6/(fan_in+fan_out))."""
-    out = np.empty(param_count(spec))
+    """Per-layer uniform init in +-sqrt(6/(fan_in+fan_out)).
+
+    One ``rng.random`` call draws the whole vector, and each block is scaled
+    in place to low + (high - low) * u, which is how numpy computes
+    ``rng.uniform(low, high)``: the same draws and bits as one uniform call
+    per block.
+    """
+    out = rng.random(param_count(spec))
     offsets, _ = _layout(spec)
     for (fan_in, fan_out), start, end in zip(affine_dims(spec), offsets, offsets[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        out[start:end] = rng.uniform(-bound, bound, size=end - start)
+        bound = math.sqrt(6.0 / (fan_in + fan_out))
+        block = out[start:end]
+        block *= bound - (-bound)
+        block -= bound
     return ModelParams(out)
 
 
@@ -441,11 +456,7 @@ def grad_params(
         if l:  # the input gradient of block 0 is never read
             d_z = d_z @ blocks[l][0]
 
-    # -0.0 to +0.0, as accumulating into a zeroed buffer does; this also
-    # makes skipping the all-zero feature-side term above bit-neutral.
-    grad = out.flat
-    grad += 0.0
-    return grad
+    return out.flat
 
 
 def jvp_guided_batch(
@@ -622,6 +633,15 @@ def family_spec(
     class_count: int,
     activation: str = "relu",
 ) -> ModelSpec:
-    """Model-family assignment rule: client i gets hidden variant i mod 5."""
-    widths = DEFAULT_HIDDEN_FAMILY[index % len(DEFAULT_HIDDEN_FAMILY)]
+    """Model-family assignment rule: client i gets hidden variant i mod 5.
+    The clients of one variant get one shared spec object."""
+    variant = index % len(DEFAULT_HIDDEN_FAMILY)
+    return _variant_spec(variant, input_dim, feature_dim, class_count, activation)
+
+
+@lru_cache(maxsize=None)  # grows no faster than _layout's cache, keyed by these specs
+def _variant_spec(
+    variant: int, input_dim: int, feature_dim: int, class_count: int, activation: str
+) -> ModelSpec:
+    widths = DEFAULT_HIDDEN_FAMILY[variant]
     return ModelSpec(input_dim, widths, feature_dim, class_count, activation)

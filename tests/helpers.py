@@ -134,6 +134,17 @@ def rel_error(analytic: np.ndarray, reference: np.ndarray) -> float:
     return float(np.abs(analytic - reference).max() / scale)
 
 
+def reference_init_params(spec: ModelSpec, gen: np.random.Generator) -> np.ndarray:
+    """init_params as first written: one ``uniform(-bound, bound)`` draw per
+    affine block, bound = sqrt(6 / (fan_in + fan_out))."""
+    out = np.empty(nn.param_count(spec))
+    offsets, _ = nn._layout(spec)
+    for (fan_in, fan_out), start, end in zip(nn.affine_dims(spec), offsets, offsets[1:]):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        out[start:end] = gen.uniform(-bound, bound, size=end - start)
+    return out
+
+
 def random_instance(seed: int, class_count: int = 3, feature_dim: int = 5, smooth: bool = True):
     """Seeded tiny net (< 500 params) with a batch; tanh keeps it smooth for
     finite differences."""

@@ -298,6 +298,33 @@ def test_split_client_raises_for_the_lowest_failing_client():
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("partition", ["dirichlet", "pathological"])
+def test_split_parts_are_contiguous_and_share_no_memory(partition):
+    # The parts are cut unchecked, so their layout is pinned here: the
+    # dtypes a checked Dataset or MiniBatch would convert to, C order, and
+    # no memory shared with the pool (which may then be freed) or with any
+    # other part.
+    ds = small_pool(seed=2, c=4, n_per=60)
+    if partition == "dirichlet":
+        plan = data.partition_dirichlet(ds, 6, 0.5, seed=2)
+    else:
+        plan = data.partition_pathological(ds, 6, 2, seed=2)
+    clients = data.split_client(ds, plan, quiz_size=5, seed=2)
+    arrays = []
+    for cd in clients:
+        assert cd.study.class_count == cd.test.class_count == ds.class_count
+        assert cd.quiz._terms is None
+        for part in (cd.study, cd.quiz, cd.test):
+            assert part.inputs.dtype == np.float64 and part.labels.dtype == np.int64
+            assert part.inputs.ndim == 2 and part.labels.ndim == 1
+            arrays += [part.inputs, part.labels]
+    for a in arrays:
+        assert a.flags.c_contiguous
+        assert not np.shares_memory(a, ds.inputs) and not np.shares_memory(a, ds.labels)
+    for j, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[j + 1 :])
+
+
 @pytest.mark.parametrize("bound", [3, 2**16, 2**16 + 1])
 def test_stable_order_equals_a_stable_argsort(bound):
     keys = np.random.default_rng(bound).integers(0, bound, 5000)

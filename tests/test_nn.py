@@ -11,7 +11,14 @@ from fedguide.errors import ContractViolation
 from fedguide.nn import LossConfig, MiniBatch, ModelParams, ModelSpec
 from fedguide.rng import stream
 
-from helpers import fd_grad_params, fd_jvp, random_instance, rel_error, stack_params
+from helpers import (
+    fd_grad_params,
+    fd_jvp,
+    random_instance,
+    reference_init_params,
+    rel_error,
+    stack_params,
+)
 
 
 def zero_params(spec):
@@ -284,6 +291,22 @@ def test_param_layout_partitions_vector():
     # head block is exactly everything after the extractor
     head_size = spec.class_count * spec.feature_dim + spec.class_count
     assert params.flat.shape[0] - extractor_end == head_size
+
+
+INIT_SPECS = [
+    *(nn.family_spec(v, 32, 16, 10, a) for v in range(5) for a in nn.ACTIVATIONS),
+    *(ModelSpec(1, (1,), 1, 1, a) for a in nn.ACTIVATIONS),
+    ModelSpec(3, (7, 2), 1, 4),
+]
+
+
+@pytest.mark.parametrize("spec", INIT_SPECS, ids=lambda s: f"{s.hidden_widths}-{s.activation}")
+def test_init_params_equals_the_per_block_reference_bitwise(spec):
+    for s in range(50):
+        gen, ref = stream(s, 3, 0), stream(s, 3, 0)
+        expected = reference_init_params(spec, ref)
+        assert nn.init_params(spec, gen).flat.tobytes() == expected.tobytes()
+        assert gen.bit_generator.state == ref.bit_generator.state  # as many draws
 
 
 def test_family_spec_assignment_rule():
@@ -603,6 +626,43 @@ def test_prepared_epoch_equals_freshly_checked_calls_bitwise(mode, activation):
         spec, params, inputs, labels, cfg, 0.05, 10, [stream(9, 6, j) for j in range(5)]
     )
     assert stacked.flat.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("mode", ["ce", "feature", "logit", "masked"])
+@pytest.mark.parametrize("activation", nn.ACTIVATIONS)
+def test_epoch_is_blind_to_the_sign_of_gradient_zeros(activation, mode, k, monkeypatch):
+    # grad_params leaves a zero's sign as the arithmetic gives it. An epoch
+    # stepped through its gradients equals one stepped through the same
+    # gradients with every zero made +0.0 (grad + 0.0), and one with every
+    # zero made -0.0, because no parameter is ever -0.0.
+    spec = nn.family_spec(4, 8, 6, 5, activation)
+    rng = stream(16, k)
+    cfg = _guide_config(mode, spec, rng)
+    sizes = [70, 45, 35, 13][:k]
+    params = stack_params([nn.init_params(spec, stream(16, 3, j)) for j in range(k)])
+    inputs = [rng.standard_normal((n, 8)) for n in sizes]
+    labels = [rng.integers(0, 5, n) for n in sizes]
+    original = nn.grad_params
+    zeros = []
+
+    def epoch(sign):
+        def signed_zeros(*args, **kwargs):
+            grad = original(*args, **kwargs)
+            zeros.append(int(np.count_nonzero(grad == 0.0)))
+            grad[grad == 0.0] = sign * 0.0
+            return grad
+
+        monkeypatch.setattr(nn, "grad_params", original if sign is None else signed_zeros)
+        rngs = [stream(16, 6, j) for j in range(k)]
+        stack = ModelParams(params.flat.copy())
+        return nn.run_sgd_epoch(spec, stack, inputs, labels, cfg, 0.05, 10, rngs).flat.tobytes()
+
+    as_given = epoch(None)
+    assert epoch(1.0) == as_given
+    assert epoch(-1.0) == as_given
+    if activation == "relu":  # units dead on a whole batch: exact zeros
+        assert sum(zeros) > 0
 
 
 def test_epoch_rejects_bad_labels_and_inputs_before_its_first_step(monkeypatch):
