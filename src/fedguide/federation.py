@@ -73,21 +73,9 @@ from .nn import (
     stack_batches,
 )
 
-METHODS = ("fedl2g-l", "fedl2g-f", "fedproto", "feddistill", "local-only")
-GUIDED_METHODS = ("fedl2g-l", "fedl2g-f")
-PROTO_METHODS = ("fedproto", "feddistill")
-
 # Space defaults for the server learning rate; scaled by RunConfig.eta_s_scale
 # because the desk-scale vector dimensions are far below production ones.
 DEFAULT_ETA_S = {"logit": 0.1, "feature": 100.0}
-
-
-def method_space(method: str) -> str | None:
-    if method in ("fedl2g-l", "feddistill"):
-        return "logit"
-    if method in ("fedl2g-f", "fedproto"):
-        return "feature"
-    return None
 
 
 def _check_finite(config, *names: str):
@@ -206,8 +194,12 @@ class RunConfig:
             )
 
     @property
+    def family(self) -> _Local:
+        return _METHODS[self.method][0]
+
+    @property
     def space(self) -> str | None:
-        return method_space(self.method)
+        return _METHODS[self.method][1]
 
     @property
     def vector_dim(self) -> int:
@@ -314,16 +306,7 @@ def build_clients(config: RunConfig) -> list[ClientState]:
 
 
 def build_server(config: RunConfig) -> ServerState:
-    space = config.space
-    if config.method in GUIDED_METHODS:
-        payload = init_guiding_vectors(
-            config.task.class_count, config.vector_dim, space, config.seed
-        )
-    elif config.method in PROTO_METHODS:
-        payload = empty_prototypes(config.task.class_count, config.vector_dim, space)
-    else:
-        payload = None
-    return ServerState(0, payload)
+    return ServerState(0, config.family.initial_payload(config))
 
 
 def sample_participants(config: RunConfig, round_index: int) -> list[int]:
@@ -347,11 +330,116 @@ class _ClientResult:
     study_ce: float | None = None
 
 
-def _loss_config(config: RunConfig, payload: GuidingVectorSet | PrototypeSet | None) -> LossConfig:
-    """The local training loss of the method, toward this round's payload."""
-    if config.method in PROTO_METHODS:
+class _Local:
+    """local-only, and the other families' defaults: pure cross-entropy, no
+    payload, no uploads, training from round 1. A family decides what its
+    methods add to the local objective and how the server learns it."""
+
+    kind, payload_type = 0, type(None)  # the checkpoint's payload kind and type
+    trains_in_warmup = True
+
+    def purposes(self, config: RunConfig) -> tuple[int, ...]:
+        """Per-client, per-round stream purposes drawn besides EPOCH and BATCH."""
+        return ()
+
+    def initial_payload(self, config: RunConfig):
+        return None
+
+    def loss_config(self, payload) -> LossConfig:
+        return guided_loss_config(payload)  # pure ce without a payload
+
+    def plan(self, plan: _GroupPlan, plans: RoundPlans):
+        """Add what the group's uploads need to its plan."""
+
+    def uploads(self, config: RunConfig, payload, plan: _GroupPlan, round_index: int, g, layers):
+        """Each member's upload, and its new params' study ce when known."""
+        return [None] * len(plan.members), [None] * len(plan.members)
+
+    def server_step(self, config: RunConfig, payload, uploads: list):
+        """The next payload and the row count of the uploads (client order)."""
+        return payload, 0
+
+
+class _Guided(_Local):
+    """fedl2g-l/-f: guiding vectors learned from uploaded quiz-loss gradients."""
+
+    kind, payload_type = 1, GuidingVectorSet
+    trains_in_warmup = False
+
+    def purposes(self, config):
+        return (rngmod.NOISE,) if config.noise_s > 0 and config.noise_p > 0 else ()
+
+    def initial_payload(self, config):
+        return init_guiding_vectors(
+            config.task.class_count, config.vector_dim, config.space, config.seed
+        )
+
+    def plan(self, plan, plans):
+        plan.direction = plans.view(2, *plan.stack.flat.shape)
+        plan.quiz = stack_batches([c.data.quiz for c in plan.members])
+
+    def uploads(self, config, payload, plan, round_index, g, layers):
+        # Pseudo-train writes theta' over g, which nothing reads afterwards.
+        uploads = guidance_gradient(
+            plan.spec,
+            plan.stack,
+            plan.batch,
+            plan.quiz,
+            payload,
+            config.eta_c,
+            study_grad=g,
+            study_layers=layers,
+            buffers=(plan.grad, plan.direction),
+        )
+        if rngmod.NOISE in plan.streams.purposes:
+            gens = plan.streams.generators(rngmod.NOISE, plan.member_indices, round_index)
+            s, p = config.noise_s, config.noise_p
+            uploads = [add_privacy_noise(u, s, p, gen) for u, gen in zip(uploads, gens)]
+        return uploads, [None] * len(uploads)
+
+    def server_step(self, config, payload, uploads):
+        rows = sum(g.uploaded_rows for g in uploads)
+        return server_update(payload, uploads, config.eta_s_effective), rows
+
+
+class _Prototype(_Local):
+    """fedproto/feddistill: count-weighted class means of features or logits."""
+
+    kind, payload_type = 2, PrototypeSet
+
+    def initial_payload(self, config):
+        return empty_prototypes(config.task.class_count, config.vector_dim, config.space)
+
+    def loss_config(self, payload):
         return prototype_loss_config(payload)
-    return guided_loss_config(payload)  # pure ce for local-only (no payload)
+
+    def plan(self, plan, plans):
+        plan.study = study_layout([c.data.study for c in plan.members])
+
+    def uploads(self, config, payload, plan, round_index, g, layers):
+        # One study forward per client; its prototypes and its study ce at
+        # evaluation are then taken over the group's outputs at once.
+        outputs = [forward_batch(plan.spec, c.params, c.data.study.inputs) for c in plan.members]
+        logits = np.concatenate([l for _, l in outputs])
+        guided = logits if config.space == "logit" else np.concatenate([f for f, _ in outputs])
+        uploads = local_prototypes(plan.study, guided)
+        return uploads, study_cross_entropies(logits, plan.study.labels, plan.study.bounds)
+
+    def server_step(self, config, payload, uploads):
+        rows = sum(int((c > 0).sum()) for _, c in uploads)
+        return aggregate_prototypes(uploads, config.space), rows
+
+
+_GUIDED, _PROTOTYPE = _Guided(), _Prototype()
+# method -> (family, the space its payload lives in); METHODS keeps this order.
+_METHODS = {
+    "fedl2g-l": (_GUIDED, "logit"),
+    "fedl2g-f": (_GUIDED, "feature"),
+    "fedproto": (_PROTOTYPE, "feature"),
+    "feddistill": (_PROTOTYPE, "logit"),
+    "local-only": (_Local(), None),
+}
+METHODS = tuple(_METHODS)
 
 
 def _check_stackable(members: list[ClientState], round_index: int):
@@ -371,9 +459,9 @@ def _check_stackable(members: list[ClientState], round_index: int):
 class _GroupPlan:
     """What one group keeps across rounds while its members stay the same:
     the members in epoch order (most steps first, then by client index),
-    the stacked quiz or the layout of their study sets, the telemetry-batch
-    buffers, and scratch views, each bound once, and the run's streams and
-    score cache.
+    the telemetry-batch buffers and scratch views, each bound once, what the
+    method's family adds (the stacked quiz and a direction view, or the
+    layout of the study sets), and the run's streams and score cache.
     """
 
     def __init__(self, plans: RoundPlans, members: list[ClientState], round_index: int):
@@ -390,17 +478,12 @@ class _GroupPlan:
         k, p = len(members), param_count(spec)
         self.stack = plans.view(0, k, p)
         self.grad = plans.view(1, k, p)
-        self.direction = plans.view(2, k, p) if config.method in GUIDED_METHODS else None
         self.steps = [len(c.data.study) // config.batch_size for c in members]
         self.study_inputs = [c.data.study.inputs for c in members]
         self.study_labels = [c.data.study.labels for c in members]
         n = min(config.batch_size, len(members[0].data.study))
         self.batch = MiniBatch(np.empty((k, n, spec.input_dim)), np.zeros((k, n), np.int64))
-        self.quiz = self.study = None
-        if config.method in GUIDED_METHODS:
-            self.quiz = stack_batches([c.data.quiz for c in members])
-        elif config.method in PROTO_METHODS:
-            self.study = study_layout([c.data.study for c in members])
+        config.family.plan(self, plans)
 
 
 class RoundPlans:
@@ -425,9 +508,7 @@ class RoundPlans:
     def __init__(self, clients: list[ClientState], config: RunConfig):
         self.clients = clients
         self.config = config
-        purposes = [rngmod.EPOCH, rngmod.BATCH]
-        if _noisy(config):
-            purposes.append(rngmod.NOISE)
+        purposes = [rngmod.EPOCH, rngmod.BATCH, *config.family.purposes(config)]
         self.streams = rngmod.RoundStreams(config.seed, purposes, len(clients), config.rounds)
         # Each client's score, None until evaluated and once it is stepped.
         self.scores: list[ClientScore | None] = [None] * len(clients)
@@ -473,11 +554,6 @@ class RoundPlans:
         return plans
 
 
-def _noisy(config: RunConfig) -> bool:
-    """Whether the clients' uploads get privacy noise."""
-    return config.method in GUIDED_METHODS and config.noise_s > 0 and config.noise_p > 0
-
-
 @contextmanager
 def _computing(plan: _GroupPlan, round_index: int, quantity: str):
     """Re-raise a failure of the block naming the group's clients, the
@@ -503,9 +579,9 @@ def _group_work(
     members' parameters in place and drops the cached scores of those it
     stepped."""
     spec, members, stack, streams = plan.spec, plan.members, plan.stack, plan.streams
-    loss_cfg = _loss_config(config, payload)
+    loss_cfg = config.family.loss_config(payload)
     np.stack([c.params.flat for c in members], out=stack.flat)
-    if config.method not in GUIDED_METHODS or round_index > config.warmup:
+    if config.family.trains_in_warmup or round_index > config.warmup:
         with _computing(plan, round_index, "parameters (local epoch)"):
             run_sgd_epoch(
                 spec,
@@ -535,40 +611,10 @@ def _group_work(
             s = c.data.study
             idx = gen.choice(len(s), size=n, replace=False)
             batch.inputs[j], batch.labels[j] = s.inputs[idx], s.labels[idx]
-        study_layers = []  # g's forward pass, which the guidance JVP reuses
-        g = grad_params(spec, stack, batch, loss_cfg, out=plan.grad, layers_out=study_layers)
+        layers = []  # g's forward pass, which the guidance JVP reuses
+        g = grad_params(spec, stack, batch, loss_cfg, out=plan.grad, layers_out=layers)
         grad_norm_sq = [float(g_c @ g_c) for g_c in g]
-
-        study_ce = [None] * len(members)
-        if config.method in GUIDED_METHODS:
-            # Pseudo-train writes theta' over g, which nothing reads afterwards.
-            uploads = guidance_gradient(
-                spec,
-                stack,
-                batch,
-                plan.quiz,
-                payload,
-                config.eta_c,
-                study_grad=g,
-                study_layers=study_layers,
-                buffers=(plan.grad, plan.direction),
-            )
-            if _noisy(config):
-                noise_streams = streams.generators(rngmod.NOISE, plan.member_indices, round_index)
-                uploads = [
-                    add_privacy_noise(u, config.noise_s, config.noise_p, gen)
-                    for u, gen in zip(uploads, noise_streams)
-                ]
-        elif config.method in PROTO_METHODS:
-            # One study forward per client; its prototypes and its study ce
-            # at evaluation are then taken over the group's outputs at once.
-            outputs = [forward_batch(spec, c.params, c.data.study.inputs) for c in members]
-            logits = np.concatenate([l for _, l in outputs])
-            guided = logits if config.space == "logit" else np.concatenate([f for f, _ in outputs])
-            uploads = local_prototypes(plan.study, guided)
-            study_ce = study_cross_entropies(logits, plan.study.labels, plan.study.bounds)
-        else:  # local-only
-            uploads = [None] * len(members)
+        uploads, study_ce = config.family.uploads(config, payload, plan, round_index, g, layers)
 
     return [
         _ClientResult(c.index, u, norm, ce)
@@ -603,17 +649,10 @@ def run_round(server: ServerState, plans: RoundPlans) -> tuple[ServerState, Roun
         results.sort(key=lambda r: r.index)
 
         # Deterministic reduction in ascending client order.
-        payload = server.payload
-        upload_rows = 0
         try:
-            if config.method in GUIDED_METHODS:
-                grads = [r.upload for r in results]
-                upload_rows = sum(g.uploaded_rows for g in grads)
-                payload = server_update(payload, grads, config.eta_s_effective)
-            elif config.method in PROTO_METHODS:
-                locals_ = [r.upload for r in results]
-                upload_rows = sum(int((c > 0).sum()) for _, c in locals_)
-                payload = aggregate_prototypes(locals_, config.space)
+            payload, upload_rows = config.family.server_step(
+                config, server.payload, [r.upload for r in results]
+            )
         except Exception as exc:
             raise ContractViolation(
                 f"server update failed in round {round_index} computing the payload: {exc}"
@@ -728,12 +767,6 @@ def _check_checkpoint_at(at: int | None, t: int, rounds: int):
 
 _MAGIC = b"FGCK"
 _CKPT_VERSION = 2
-# The payload type of each kind; a method's server carries exactly one.
-_PAYLOAD_TYPES = (type(None), GuidingVectorSet, PrototypeSet)
-
-
-def _payload_kind(method: str) -> int:
-    return 1 if method in GUIDED_METHODS else 2 if method in PROTO_METHODS else 0
 
 
 @contextmanager
@@ -756,11 +789,11 @@ def atomic_open(path: str, mode: str = "w", **kwargs):
 def save_checkpoint(
     path: str, config: RunConfig, server: ServerState, clients: list[ClientState]
 ):
-    payload, kind = server.payload, _payload_kind(config.method)
-    if not isinstance(payload, _PAYLOAD_TYPES[kind]):
+    payload, kind, expected = server.payload, config.family.kind, config.family.payload_type
+    if not isinstance(payload, expected):
         raise ContractViolation(
             f"{config.method} checkpoints hold payload kind {kind} "
-            f"({_PAYLOAD_TYPES[kind].__name__}), got a {type(payload).__name__}"
+            f"({expected.__name__}), got a {type(payload).__name__}"
         )
     digest = config_digest(config).encode()
     with atomic_open(path, "wb") as fh:
@@ -796,6 +829,14 @@ def _read_exact(fh, n: int) -> bytes:
     return data
 
 
+def _read_finite(fh, path: str, n: int, quantity: str) -> np.ndarray:
+    """The next n f64 values, which must all be finite."""
+    values = np.frombuffer(_read_exact(fh, 8 * n), dtype="<f8")
+    if not np.isfinite(values).all():
+        raise CheckpointError(f"{path}: non-finite value in the {quantity}")
+    return values
+
+
 def _check_header_field(path: str, field: str, found: int, expected: int):
     if found != expected:
         raise CheckpointError(f"{path}: header {field} is {found}, expected {expected}")
@@ -805,8 +846,10 @@ def load_checkpoint(path: str, config: RunConfig, clients: list[ClientState]) ->
     """Restore server state and client params in place; returns the server.
 
     Every size in the file is checked against the config and the clients'
-    specs before the data it sizes is read, and the whole file is read
-    before any client's parameters are written.
+    specs before the data it sizes is read, every value is checked to be
+    finite (min_ce may be inf, its unset value) and every count to fit an
+    int64, and the whole file is read before any client's parameters are
+    written.
     """
     with open(path, "rb") as fh:
         if _read_exact(fh, 4) != _MAGIC:
@@ -814,6 +857,8 @@ def load_checkpoint(path: str, config: RunConfig, clients: list[ClientState]) ->
         version, seed, t, min_ce = struct.unpack("<IQQd", _read_exact(fh, 28))
         if version != _CKPT_VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
+        if not -math.inf < min_ce <= math.inf:
+            raise CheckpointError(f"{path}: min_ce is {min_ce}, expected a number or inf")
         (digest_len,) = struct.unpack("<H", _read_exact(fh, 2))
         digest = _read_exact(fh, digest_len).decode()
         if digest != config_digest(config):
@@ -823,7 +868,7 @@ def load_checkpoint(path: str, config: RunConfig, clients: list[ClientState]) ->
         if seed != config.seed:
             raise CheckpointError(f"{path}: seed mismatch")
         (kind,) = struct.unpack("<B", _read_exact(fh, 1))
-        expected_kind = _payload_kind(config.method)
+        expected_kind = config.family.kind
         if kind != expected_kind:
             raise CheckpointError(
                 f"{path}: payload kind {kind} does not match method {config.method}, "
@@ -834,29 +879,33 @@ def load_checkpoint(path: str, config: RunConfig, clients: list[ClientState]) ->
             gv_version, c, m = struct.unpack("<QQQ", _read_exact(fh, 24))
             _check_header_field(path, "C", c, config.task.class_count)
             _check_header_field(path, "M", m, config.vector_dim)
-            vectors = np.frombuffer(_read_exact(fh, 8 * c * m), dtype="<f8").reshape(c, m)
-            payload = GuidingVectorSet(vectors.copy(), method_space(config.method), gv_version)
+            vectors = _read_finite(fh, path, c * m, "payload vectors").reshape(c, m)
+            payload = GuidingVectorSet(vectors.copy(), config.space, gv_version)
         elif kind == 2:
             c, m = struct.unpack("<QQ", _read_exact(fh, 16))
             _check_header_field(path, "C", c, config.task.class_count)
             _check_header_field(path, "M", m, config.vector_dim)
-            counts = np.frombuffer(_read_exact(fh, 8 * c), dtype="<u8").astype(np.int64)
-            vectors = np.frombuffer(_read_exact(fh, 8 * c * m), dtype="<f8").reshape(c, m)
-            payload = PrototypeSet(vectors.copy(), counts, method_space(config.method))
+            counts = np.frombuffer(_read_exact(fh, 8 * c), dtype="<u8")
+            if (counts > np.iinfo(np.int64).max).any():
+                raise CheckpointError(f"{path}: a prototype count is above 2**63 - 1")
+            vectors = _read_finite(fh, path, c * m, "payload vectors").reshape(c, m)
+            payload = PrototypeSet(vectors.copy(), counts.astype(np.int64), config.space)
         (n_clients,) = struct.unpack("<Q", _read_exact(fh, 8))
         _check_header_field(path, "n_clients", n_clients, len(clients))
-        has_evaluation, accuracy, mean_ce = struct.unpack("<Bdd", _read_exact(fh, 17))
+        (has_evaluation,) = struct.unpack("<B", _read_exact(fh, 1))
         if has_evaluation > 1:
             raise CheckpointError(f"{path}: bad evaluation flag {has_evaluation}")
-        per_client = np.frombuffer(_read_exact(fh, 8 * n_clients), dtype="<f8")
-        evaluation = (accuracy, per_client.astype(np.float64), mean_ce) if has_evaluation else None
+        # accuracy, mean ce, per-client accuracies; all zero when absent
+        values = _read_finite(fh, path, 2 + n_clients, "evaluation")
+        accuracy, mean_ce = float(values[0]), float(values[1])
+        evaluation = (accuracy, values[2:].astype(np.float64), mean_ce) if has_evaluation else None
         flats = []
         for client in clients:
             (p,) = struct.unpack("<Q", _read_exact(fh, 8))
             _check_header_field(
                 path, f"param_count of client {client.index}", p, param_count(client.spec)
             )
-            flats.append(np.frombuffer(_read_exact(fh, 8 * p), dtype="<f8"))
+            flats.append(_read_finite(fh, path, p, f"parameters of client {client.index}"))
     for client, flat in zip(clients, flats):
         client.params.flat[...] = flat
     return ServerState(t, payload, min_ce, evaluation)

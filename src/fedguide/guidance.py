@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng as rngmod
 from .data import Dataset
 from .errors import ContractViolation
 from .nn import (
@@ -264,8 +265,6 @@ def init_guiding_vectors(
     """Random initial vectors: 0.1 * standard normal, seeded."""
     if class_count < 1 or dim < 1:
         raise ContractViolation("class_count and dim must be >= 1")
-    from . import rng as rngmod
-
     gen = rngmod.stream(seed, rngmod.GUIDE_INIT)
     return GuidingVectorSet(0.1 * gen.standard_normal((class_count, dim)), space, 0)
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from fedguide import nn, rng
-from fedguide.federation import RunConfig, TaskConfig
+from fedguide.federation import RunConfig, TaskConfig, config_digest
 from fedguide.guidance import GuidingVectorSet, pseudo_train
 from fedguide.nn import LossConfig, MiniBatch, ModelParams, ModelSpec
 
@@ -31,6 +31,31 @@ def small_config(method="fedl2g-f", **kwargs) -> RunConfig:
     )
     defaults.update(kwargs)
     return RunConfig(**defaults)
+
+
+def checkpoint_regions(cfg: RunConfig, clients, blob) -> dict[str, list[int]]:
+    """Byte offsets of the values in a checkpoint of ``cfg``, by region:
+    "min_ce", "counts" (the u64 prototype counts), "payload" (the f64
+    payload vectors), "evaluation" (f64 accuracy, mean ce and per-client
+    accuracies) and "params" (every client's f64 parameters); read from
+    the format's layout, not from the loader."""
+    kind_at = 4 + 28 + 2 + len(config_digest(cfg))
+    kind = blob[kind_at]
+    c, m = cfg.task.class_count, cfg.vector_dim
+    at = kind_at + 1 + (0, 24, 16)[kind]
+    counts = list(range(at, at + 8 * c, 8)) if kind == 2 else []
+    at += 8 * len(counts)
+    payload = list(range(at, at + 8 * c * m, 8)) if kind else []
+    at += 8 * len(payload) + 8 + 1  # the client count and the evaluation flag
+    evaluation = list(range(at, at + 8 * (2 + len(clients)), 8))
+    at += 8 * len(evaluation)
+    params = []
+    for client in clients:
+        p = nn.param_count(client.spec)
+        params += range(at + 8, at + 8 + 8 * p, 8)
+        at += 8 + 8 * p
+    assert at == len(blob)
+    return dict(min_ce=[24], counts=counts, payload=payload, evaluation=evaluation, params=params)
 
 
 def client_prototypes(study, outputs, space):

@@ -3,6 +3,7 @@ independence, checkpoint round-trips, cached evaluation, and error
 propagation."""
 
 import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -24,7 +25,7 @@ from fedguide.federation import (
     task_digest,
 )
 
-from helpers import SMALL_TASK, small_config
+from helpers import SMALL_TASK, checkpoint_regions, small_config
 
 
 def metrics_tuple(m):
@@ -68,23 +69,26 @@ def test_local_only_round_no_uploads_no_server_payload():
     assert server2.t == 1
 
 
-def test_warmup_rounds_leave_params_bit_identical():
-    cfg = small_config(warmup=2)
+@pytest.mark.parametrize("method", federation.METHODS)
+def test_warmup_rounds_leave_params_bit_identical(method):
+    # Only the guided methods hold their parameters through warm-up; the
+    # others step them from round 1.
+    cfg = small_config(method, warmup=2)
+    frozen = method in ("fedl2g-l", "fedl2g-f")
     plans = _plans(cfg)
     clients = plans.clients
     server = build_server(cfg)
-    for expected_round in (1, 2):
+    for expected_round in (1, 2, 3):
         before = [c.params.flat.copy() for c in clients]
-        g_before = server.payload.vectors.copy()
+        payload_before = None if server.payload is None else server.payload.vectors.copy()
         server, _ = run_round(server, plans)
         assert server.t == expected_round
-        for c, b in zip(clients, before):
-            assert np.array_equal(c.params.flat, b)
-        assert not np.array_equal(server.payload.vectors, g_before)  # vectors still learn
-    # first post-warm-up round trains
-    before = [c.params.flat.copy() for c in clients]
-    server, _ = run_round(server, plans)
-    assert any(not np.array_equal(c.params.flat, b) for c, b in zip(clients, before))
+        unchanged = [np.array_equal(c.params.flat, b) for c, b in zip(clients, before)]
+        if frozen and expected_round <= cfg.warmup:
+            assert all(unchanged)
+            assert not np.array_equal(server.payload.vectors, payload_before)  # vectors still learn
+        else:
+            assert not all(unchanged)
 
 
 def test_no_warmup_trains_from_round_one():
@@ -276,6 +280,37 @@ def test_checkpoint_rejects_wrong_param_count_and_leaves_clients_untouched(tmp_p
     with pytest.raises(CheckpointError, match=f"param_count of client {last.index}"):
         load_checkpoint(str(path), cfg, clients)
     # by value: the file is checked in full before any row is written
+    assert all(np.array_equal(c.params.flat, b) for c, b in zip(clients, before))
+
+
+@pytest.mark.parametrize(
+    "method, region, index, value, message",
+    [
+        ("fedproto", "params", -1, np.nan, "non-finite value in the parameters of client 5"),
+        ("fedl2g-l", "params", 0, -np.inf, "non-finite value in the parameters of client 0"),
+        ("fedproto", "payload", 0, np.nan, "non-finite value in the payload vectors"),
+        ("fedl2g-f", "payload", -1, np.nan, "non-finite value in the payload vectors"),
+        ("fedproto", "counts", 2, 2**64 - 5, "a prototype count is above 2**63 - 1"),
+        ("fedproto", "min_ce", 0, np.nan, "min_ce is nan, expected a number or inf"),
+        ("fedl2g-f", "min_ce", 0, -np.inf, "min_ce is -inf, expected a number or inf"),
+        ("local-only", "evaluation", 0, np.nan, "non-finite value in the evaluation"),
+        ("fedproto", "evaluation", 1, np.inf, "non-finite value in the evaluation"),
+        ("feddistill", "evaluation", -1, np.nan, "non-finite value in the evaluation"),
+    ],
+)
+def test_checkpoint_rejects_a_non_finite_value_or_huge_count_and_leaves_clients_untouched(
+    tmp_path, method, region, index, value, message
+):
+    # the evaluation's values are its accuracy, mean ce, per-client accuracies
+    cfg = small_config(method, rounds=4)
+    path, blob = _checkpoint_bytes(tmp_path, cfg)
+    clients = build_clients(cfg)
+    offset = checkpoint_regions(cfg, clients, blob)[region][index]
+    struct.pack_into("<Q" if region == "counts" else "<d", blob, offset, value)
+    path.write_bytes(bytes(blob))
+    before = [c.params.flat.copy() for c in clients]
+    with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_checkpoint(str(path), cfg, clients)
     assert all(np.array_equal(c.params.flat, b) for c, b in zip(clients, before))
 
 

@@ -5,7 +5,8 @@ speed-ups.
 The small-run digests were recorded before the per-client evaluation cache
 was added (the tanh and fedl2g-f noise cases before the group-array round
 tail, the fedl2g-l noise case before clients got parameter vectors of their
-own); the workload digests before the per-step dispatch trim. The
+own, the other methods' noise cases before the method families moved into
+one table); the workload digests before the per-step dispatch trim. The
 workloads cover what the small runs miss: the pathological partition, 100
 clients at rho 0.1, batch 40, and study sets smaller than a batch. A
 deliberate numeric change (a new loss, a different data split, another
@@ -65,6 +66,17 @@ GOLDEN = {
     ),
     ("fedl2g-l", (("noise_s", 0.05), ("noise_p", 0.2))): (
         "40e873734221ba7d167594d229c1d449089fa793f028fd3347cd77d88deb3b97"
+    ),
+    # Privacy noise acts on guiding-vector uploads only: the other methods'
+    # noisy runs equal their noise-free ones.
+    ("fedproto", (("noise_s", 0.05), ("noise_p", 0.2))): (
+        "706917773d10277ca8c1b3d0c87e686816c69c94155a6c3fdb86336785d5f607"
+    ),
+    ("feddistill", (("noise_s", 0.05), ("noise_p", 0.2))): (
+        "9aaa8d759dd9da392f7eeb049fcece1715799a739d91e067e6fdcd91b3a00591"
+    ),
+    ("local-only", (("noise_s", 0.05), ("noise_p", 0.2))): (
+        "066dbe4368712db44ec7a48d6d72ff7a8fb71b3443d50e960d5f56c659e9189f"
     ),
 }
 

@@ -8,6 +8,7 @@ number is fixed, so the suite stays repeatable and bounded."""
 
 import json
 import os
+import struct
 import tempfile
 from unittest import mock
 
@@ -26,6 +27,7 @@ from fedguide.data import (
 )
 from fedguide.errors import CheckpointError, PartitionError
 from fedguide.federation import (
+    METHODS,
     ServerState,
     build_clients,
     build_server,
@@ -37,6 +39,7 @@ from fedguide.nn import LossConfig, MiniBatch, ModelParams, ModelSpec
 from fedguide.rng import stream
 
 from helpers import (
+    checkpoint_regions,
     plan_shards,
     reference_dirichlet,
     reference_pathological,
@@ -390,6 +393,49 @@ def test_truncated_checkpoint_raises_checkpoint_error(checkpoint_bytes, data):
             fh.write(checkpoint_bytes[:cut])
         with pytest.raises(CheckpointError):
             load_checkpoint(path, CHECKPOINT_CONFIG, clients)
+    assert all(np.array_equal(c.params.flat, b) for c, b in zip(clients, before))
+
+
+@pytest.fixture(scope="module")
+def method_checkpoints():
+    """Per method: the config, a checkpoint of a short run (its last round
+    evaluated), and the offsets of its f64 payload, evaluation and
+    parameter values."""
+    out = {}
+    with tempfile.TemporaryDirectory() as d:
+        for method in METHODS:
+            cfg = small_config(method, rounds=3)
+            result = run_training(cfg)
+            path = os.path.join(d, method)
+            save_checkpoint(path, cfg, result.server, result.clients)
+            with open(path, "rb") as fh:
+                blob = fh.read()
+            regions = checkpoint_regions(cfg, result.clients, blob)
+            out[method] = cfg, blob, [regions[r] for r in ("payload", "evaluation", "params")]
+    return out
+
+
+@settings(
+    derandomize=True,
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_non_finite_checkpoint_value_raises_checkpoint_error(method_checkpoints, data):
+    cfg, blob, regions = method_checkpoints[data.draw(st.sampled_from(METHODS))]
+    region = data.draw(st.sampled_from([r for r in regions if r]))
+    offset = data.draw(st.sampled_from(region))
+    forged = bytearray(blob)
+    struct.pack_into("<d", forged, offset, data.draw(st.sampled_from([np.nan, np.inf, -np.inf])))
+    clients = build_clients(cfg)
+    before = [c.params.flat.copy() for c in clients]
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "ckpt")
+        with open(path, "wb") as fh:
+            fh.write(bytes(forged))
+        with pytest.raises(CheckpointError, match="non-finite value"):
+            load_checkpoint(path, cfg, clients)
     assert all(np.array_equal(c.params.flat, b) for c, b in zip(clients, before))
 
 

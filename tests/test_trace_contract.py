@@ -17,11 +17,12 @@ from pathlib import Path
 import pytest
 
 import fedguide.cli  # noqa: F401  (loaded before patching, as perfbench/run.py does)
-from fedguide.federation import GUIDED_METHODS, METHODS, run_training
+from fedguide.federation import METHODS, run_training
 
 from helpers import small_config
 
 ROOT = Path(__file__).resolve().parents[1]
+GUIDED_METHODS = ("fedl2g-l", "fedl2g-f")
 sys.path.insert(0, str(ROOT / "perfbench"))
 import tracing  # noqa: E402
 
