@@ -222,21 +222,6 @@ def format_metrics_csv(history: list[RoundMetrics]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_metrics_csv(path: str) -> dict[str, np.ndarray]:
-    """Parse a metric file back into named columns."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != METRIC_HEADER:
-            raise ConfigError(f"{path}: unexpected metric header {header!r}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    names = METRIC_HEADER.split(",")
-    cols = {name: np.array([float(r[j]) for r in rows]) for j, name in enumerate(names)}
-    cols["round"] = cols["round"].astype(np.int64)
-    cols["upload_bytes"] = cols["upload_bytes"].astype(np.int64)
-    cols["download_bytes"] = cols["download_bytes"].astype(np.int64)
-    return cols
-
-
 def _population_std(values: list[float]) -> float:
     return float(np.std(np.asarray(values)))
 

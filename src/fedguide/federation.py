@@ -729,6 +729,10 @@ def run_training(
     if checkpoint_at is not None and checkpoint_path is None:
         raise ConfigError("checkpoint_path: required when checkpoint_at is set")
     _check_checkpoint_at(checkpoint_at, 0, config.rounds)
+    if checkpoint_at is not None:
+        directory = os.path.dirname(checkpoint_path) or "."
+        if not os.path.isdir(directory):
+            raise ConfigError(f"checkpoint_path: directory {directory} does not exist")
     clients = build_clients(config)
     if resume_from is not None:
         server = load_checkpoint(resume_from, config, clients)
@@ -822,16 +826,16 @@ def save_checkpoint(
             fh.write(flat.astype("<f8").tobytes())
 
 
-def _read_exact(fh, n: int) -> bytes:
+def _read_exact(fh, path: str, n: int, section: str) -> bytes:
     data = fh.read(n)
     if len(data) != n:
-        raise CheckpointError("checkpoint truncated")
+        raise CheckpointError(f"{path}: checkpoint truncated in the {section}")
     return data
 
 
 def _read_finite(fh, path: str, n: int, quantity: str) -> np.ndarray:
     """The next n f64 values, which must all be finite."""
-    values = np.frombuffer(_read_exact(fh, 8 * n), dtype="<f8")
+    values = np.frombuffer(_read_exact(fh, path, 8 * n, quantity), dtype="<f8")
     if not np.isfinite(values).all():
         raise CheckpointError(f"{path}: non-finite value in the {quantity}")
     return values
@@ -848,26 +852,27 @@ def load_checkpoint(path: str, config: RunConfig, clients: list[ClientState]) ->
     Every size in the file is checked against the config and the clients'
     specs before the data it sizes is read, every value is checked to be
     finite (min_ce may be inf, its unset value) and every count to fit an
-    int64, and the whole file is read before any client's parameters are
-    written.
+    int64, and the whole file, which must end after the last client, is read
+    before any client's parameters are written.
     """
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != _MAGIC:
+        if _read_exact(fh, path, 4, "header") != _MAGIC:
             raise CheckpointError(f"{path}: bad magic")
-        version, seed, t, min_ce = struct.unpack("<IQQd", _read_exact(fh, 28))
+        version, seed, t, min_ce = struct.unpack("<IQQd", _read_exact(fh, path, 28, "header"))
         if version != _CKPT_VERSION:
             raise CheckpointError(f"{path}: unsupported version {version}")
         if not -math.inf < min_ce <= math.inf:
             raise CheckpointError(f"{path}: min_ce is {min_ce}, expected a number or inf")
-        (digest_len,) = struct.unpack("<H", _read_exact(fh, 2))
-        digest = _read_exact(fh, digest_len).decode()
-        if digest != config_digest(config):
+        (digest_len,) = struct.unpack("<H", _read_exact(fh, path, 2, "header"))
+        digest = config_digest(config).encode()
+        _check_header_field(path, "digest_len", digest_len, len(digest))
+        if _read_exact(fh, path, digest_len, "config digest") != digest:
             raise CheckpointError(
                 f"{path}: checkpoint was written by a different configuration"
             )
         if seed != config.seed:
             raise CheckpointError(f"{path}: seed mismatch")
-        (kind,) = struct.unpack("<B", _read_exact(fh, 1))
+        (kind,) = struct.unpack("<B", _read_exact(fh, path, 1, "payload"))
         expected_kind = config.family.kind
         if kind != expected_kind:
             raise CheckpointError(
@@ -876,23 +881,23 @@ def load_checkpoint(path: str, config: RunConfig, clients: list[ClientState]) ->
             )
         payload: GuidingVectorSet | PrototypeSet | None = None
         if kind == 1:
-            gv_version, c, m = struct.unpack("<QQQ", _read_exact(fh, 24))
+            gv_version, c, m = struct.unpack("<QQQ", _read_exact(fh, path, 24, "payload"))
             _check_header_field(path, "C", c, config.task.class_count)
             _check_header_field(path, "M", m, config.vector_dim)
             vectors = _read_finite(fh, path, c * m, "payload vectors").reshape(c, m)
             payload = GuidingVectorSet(vectors.copy(), config.space, gv_version)
         elif kind == 2:
-            c, m = struct.unpack("<QQ", _read_exact(fh, 16))
+            c, m = struct.unpack("<QQ", _read_exact(fh, path, 16, "payload"))
             _check_header_field(path, "C", c, config.task.class_count)
             _check_header_field(path, "M", m, config.vector_dim)
-            counts = np.frombuffer(_read_exact(fh, 8 * c), dtype="<u8")
+            counts = np.frombuffer(_read_exact(fh, path, 8 * c, "payload"), dtype="<u8")
             if (counts > np.iinfo(np.int64).max).any():
                 raise CheckpointError(f"{path}: a prototype count is above 2**63 - 1")
             vectors = _read_finite(fh, path, c * m, "payload vectors").reshape(c, m)
             payload = PrototypeSet(vectors.copy(), counts.astype(np.int64), config.space)
-        (n_clients,) = struct.unpack("<Q", _read_exact(fh, 8))
+        (n_clients,) = struct.unpack("<Q", _read_exact(fh, path, 8, "evaluation"))
         _check_header_field(path, "n_clients", n_clients, len(clients))
-        (has_evaluation,) = struct.unpack("<B", _read_exact(fh, 1))
+        (has_evaluation,) = struct.unpack("<B", _read_exact(fh, path, 1, "evaluation"))
         if has_evaluation > 1:
             raise CheckpointError(f"{path}: bad evaluation flag {has_evaluation}")
         # accuracy, mean ce, per-client accuracies; all zero when absent
@@ -901,11 +906,14 @@ def load_checkpoint(path: str, config: RunConfig, clients: list[ClientState]) ->
         evaluation = (accuracy, values[2:].astype(np.float64), mean_ce) if has_evaluation else None
         flats = []
         for client in clients:
-            (p,) = struct.unpack("<Q", _read_exact(fh, 8))
+            section = f"parameters of client {client.index}"
+            (p,) = struct.unpack("<Q", _read_exact(fh, path, 8, section))
             _check_header_field(
                 path, f"param_count of client {client.index}", p, param_count(client.spec)
             )
-            flats.append(_read_finite(fh, path, p, f"parameters of client {client.index}"))
+            flats.append(_read_finite(fh, path, p, section))
+        if fh.read(1):
+            raise CheckpointError(f"{path}: trailing bytes after the last client")
     for client, flat in zip(clients, flats):
         client.params.flat[...] = flat
     return ServerState(t, payload, min_ce, evaluation)

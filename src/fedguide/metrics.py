@@ -1,14 +1,14 @@
-"""Evaluation, communication-byte accounting, convergence detection, and
-vector-separability diagnostics."""
+"""Evaluation, the study-set cross-entropy, communication-byte accounting and
+convergence detection."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .data import ClientDataset, Dataset
+from .data import ClientDataset
 from .errors import ContractViolation
 from . import nn
 from .nn import ModelParams, ModelSpec, forward_batch
@@ -43,28 +43,13 @@ class ClientScore:
     study_ce: float
 
 
-def study_cross_entropy(spec: ModelSpec, params: ModelParams, study: Dataset) -> float:
-    """Mean cross-entropy of a client model over its study set.
-
-    A Dataset checks its labels against its own class count when it is
-    built, so they are checked again only when that count exceeds the
-    model's.
-    """
-    if len(study) == 0:
-        raise ContractViolation("study set is empty")
-    if study.class_count > spec.class_count:
-        nn._check_labels(study.labels, spec.class_count)
-    _, logits = nn.forward_batch(spec, params, study.inputs)
-    return float(nn._ce_rows(logits, study.labels).mean())
-
-
 def study_cross_entropies(
     logits: np.ndarray, labels: np.ndarray, bounds: Sequence[int]
 ) -> list[float]:
-    """``study_cross_entropy`` of each member of a group, from the members'
-    study logits and labels concatenated in member order, member j's rows
-    at ``bounds[j]:bounds[j + 1]``. The labels must index the logits'
-    columns, as in a run, where every Dataset's class count is the models'.
+    """Mean cross-entropy of each member of a group over its study set, from
+    the members' study logits and labels concatenated in member order,
+    member j's rows at ``bounds[j]:bounds[j + 1]``. The labels must index
+    the logits' columns; callers check them first.
 
     The per-row losses are one pass over every row; each member's figure is
     the mean of its own contiguous slice, equal to its own figure bit for
@@ -72,21 +57,6 @@ def study_cross_entropies(
     """
     ce = nn._ce_rows(logits, labels)
     return [float(ce[a:b].mean()) for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def score_client(
-    spec: ModelSpec, params: ModelParams, data: ClientDataset, study_ce: float | None = None
-) -> ClientScore:
-    """Test-set hits and mean study-set cross-entropy of one client model.
-
-    ``study_ce``, when given, is ``study_cross_entropy`` of these params,
-    already computed by the caller.
-    """
-    _, logits = forward_batch(spec, params, data.test.inputs)
-    hits = int(np.count_nonzero(logits.argmax(axis=1) == data.test.labels))
-    if study_ce is None:
-        study_ce = study_cross_entropy(spec, params, data.study)
-    return ClientScore(hits, study_ce)
 
 
 def evaluate(
@@ -105,7 +75,10 @@ def evaluate(
     client not scored since its parameters last changed; the None entries
     are scored and filled in place, the others used as they are.
     ``study_ce``, when given, holds per client None or the study ce of its
-    current params, passed on to ``score_client``.
+    current params; a client scored without one gets it from a forward pass
+    over its study set. A Dataset checks its labels against its own class
+    count when it is built, so they are checked again only when that count
+    exceeds the model's.
     """
     if scores is None:
         scores = [None] * len(clients)
@@ -120,7 +93,18 @@ def evaluate(
             raise ContractViolation(f"client {i} has an empty test set")
         score = scores[i]
         if score is None:
-            score = scores[i] = score_client(spec, params, data, study_ce[i])
+            _, logits = forward_batch(spec, params, data.test.inputs)
+            hits = int(np.count_nonzero(logits.argmax(axis=1) == data.test.labels))
+            ce = study_ce[i]
+            if ce is None:
+                study = data.study
+                if len(study) == 0:
+                    raise ContractViolation("study set is empty")
+                if study.class_count > spec.class_count:
+                    nn._check_labels(study.labels, spec.class_count)
+                _, logits = nn.forward_batch(spec, params, study.inputs)
+                (ce,) = study_cross_entropies(logits, study.labels, (0, len(study)))
+            score = scores[i] = ClientScore(hits, ce)
         per_client[i] = score.test_hits / len(data.test)
         correct += score.test_hits
         total += len(data.test)
@@ -165,33 +149,3 @@ def convergence_round(
         if upcoming - current < tol:
             return t
     return n
-
-
-def separability_stats(vectors_or_set) -> tuple[float, float]:
-    """Min and mean pairwise Euclidean distance over the valid class rows.
-
-    Accepts a raw (C, M) matrix, a guiding-vector set, or a prototype set
-    (whose count-0 rows are skipped). Needs at least two valid rows.
-    """
-    counts = getattr(vectors_or_set, "counts", None)
-    vectors = getattr(vectors_or_set, "vectors", vectors_or_set)
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if counts is not None:
-        vectors = vectors[np.asarray(counts) > 0]
-    if vectors.ndim != 2 or vectors.shape[0] < 2:
-        raise ContractViolation("separability_stats needs at least 2 valid rows")
-    diffs = vectors[:, None, :] - vectors[None, :, :]
-    dist = np.sqrt((diffs**2).sum(axis=2))
-    iu = np.triu_indices(vectors.shape[0], k=1)
-    pairwise = dist[iu]
-    return float(pairwise.min()), float(pairwise.mean())
-
-
-def mean_row_norm(vectors_or_set) -> float:
-    """Mean Euclidean norm of the valid rows; used to normalize separability."""
-    counts = getattr(vectors_or_set, "counts", None)
-    vectors = getattr(vectors_or_set, "vectors", vectors_or_set)
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if counts is not None:
-        vectors = vectors[np.asarray(counts) > 0]
-    return float(np.linalg.norm(vectors, axis=1).mean())

@@ -1,5 +1,6 @@
 """Shared test utilities: independent finite-difference oracles, random
-problem instances, and the small federated run configuration. The oracles
+problem instances, the small federated run configuration, a metric-file
+reader and the vector-separability diagnostics of criterion 09. The oracles
 only ever call forward/total_loss, never the gradient code they check."""
 
 from __future__ import annotations
@@ -7,6 +8,8 @@ from __future__ import annotations
 import numpy as np
 
 from fedguide import nn, rng
+from fedguide.cli import METRIC_HEADER
+from fedguide.errors import ConfigError, ContractViolation
 from fedguide.federation import RunConfig, TaskConfig, config_digest
 from fedguide.guidance import GuidingVectorSet, pseudo_train
 from fedguide.nn import LossConfig, MiniBatch, ModelParams, ModelSpec
@@ -285,3 +288,48 @@ def reference_split(ds_i, test_fraction, quiz_size, seed, client_index):
     )
     study_idx = np.setdiff1d(train_idx, quiz_idx)
     return ds_i.subset(study_idx), ds_i.subset(quiz_idx), ds_i.subset(test_idx)
+
+
+def read_metrics_csv(path: str) -> dict[str, np.ndarray]:
+    """Parse a metric file back into named columns."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != METRIC_HEADER:
+            raise ConfigError(f"{path}: unexpected metric header {header!r}")
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    names = METRIC_HEADER.split(",")
+    cols = {name: np.array([float(r[j]) for r in rows]) for j, name in enumerate(names)}
+    cols["round"] = cols["round"].astype(np.int64)
+    cols["upload_bytes"] = cols["upload_bytes"].astype(np.int64)
+    cols["download_bytes"] = cols["download_bytes"].astype(np.int64)
+    return cols
+
+
+def separability_stats(vectors_or_set) -> tuple[float, float]:
+    """Min and mean pairwise Euclidean distance over the valid class rows.
+
+    Accepts a raw (C, M) matrix, a guiding-vector set, or a prototype set
+    (whose count-0 rows are skipped). Needs at least two valid rows.
+    """
+    counts = getattr(vectors_or_set, "counts", None)
+    vectors = getattr(vectors_or_set, "vectors", vectors_or_set)
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if counts is not None:
+        vectors = vectors[np.asarray(counts) > 0]
+    if vectors.ndim != 2 or vectors.shape[0] < 2:
+        raise ContractViolation("separability_stats needs at least 2 valid rows")
+    diffs = vectors[:, None, :] - vectors[None, :, :]
+    dist = np.sqrt((diffs**2).sum(axis=2))
+    iu = np.triu_indices(vectors.shape[0], k=1)
+    pairwise = dist[iu]
+    return float(pairwise.min()), float(pairwise.mean())
+
+
+def mean_row_norm(vectors_or_set) -> float:
+    """Mean Euclidean norm of the valid rows; used to normalize separability."""
+    counts = getattr(vectors_or_set, "counts", None)
+    vectors = getattr(vectors_or_set, "vectors", vectors_or_set)
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if counts is not None:
+        vectors = vectors[np.asarray(counts) > 0]
+    return float(np.linalg.norm(vectors, axis=1).mean())

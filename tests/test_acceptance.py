@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fedguide import nn
-from fedguide.cli import parse_config, read_metrics_csv, run_experiment
+from fedguide.cli import parse_config, run_experiment
 from fedguide.federation import (
     RoundPlans,
     RunConfig,
@@ -21,15 +21,18 @@ from fedguide.federation import (
     run_training,
 )
 from fedguide.guidance import GuidingVectorSet, guidance_gradient
-from fedguide.metrics import account_bytes, mean_row_norm, separability_stats
+from fedguide.metrics import account_bytes
 from fedguide.nn import LossConfig, MiniBatch
 
 from helpers import (
     fd_grad_params,
     fd_guidance_gradient,
     fd_jvp,
+    mean_row_norm,
     random_instance,
+    read_metrics_csv,
     rel_error,
+    separability_stats,
 )
 
 

@@ -18,11 +18,12 @@ from fedguide.cli import (
     format_metrics_csv,
     main,
     parse_config,
-    read_metrics_csv,
     run_experiment,
 )
 from fedguide.errors import ConfigError
 from fedguide.federation import RunConfig, TaskConfig
+
+from helpers import read_metrics_csv
 
 TINY = [
     "--clients", "6", "--rounds", "5", "--warmup", "1", "--quiz-size", "5",

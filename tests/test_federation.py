@@ -171,6 +171,10 @@ def _no_set_up(*args, **kwargs):
         (dict(checkpoint_at=4), "checkpoint_path: required when checkpoint_at is set"),
         (dict(checkpoint_at=0, checkpoint_path="x"), "checkpoint_at: must satisfy 0 < "),
         (dict(checkpoint_at=9, checkpoint_path="x"), "checkpoint_at: must satisfy 0 < "),
+        (
+            dict(checkpoint_at=4, checkpoint_path="no-such-directory/x.bin"),
+            "checkpoint_path: directory no-such-directory does not exist",
+        ),
     ],
 )
 def test_checkpoint_arguments_are_checked_before_set_up(monkeypatch, kwargs, message):
@@ -196,7 +200,7 @@ def test_checkpoint_rejects_wrong_config(tmp_path):
     ckpt = str(tmp_path / "a.ckpt")
     run_training(cfg, checkpoint_at=4, checkpoint_path=ckpt)
     other = small_config(rounds=8, eta_c=0.02)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="written by a different configuration"):
         run_training(other, resume_from=ckpt)
 
 
@@ -227,6 +231,61 @@ def _checkpoint_bytes(tmp_path, cfg, at=2):
     path = tmp_path / "run.ckpt"
     run_training(cfg, checkpoint_at=at, checkpoint_path=str(path))
     return path, bytearray(path.read_bytes())
+
+
+# magic | u32 version, u64 seed, u64 t, f64 min_ce | u16 len, digest
+_DIGEST_AT = 4 + 28 + 2
+
+
+def test_checkpoint_rejects_a_forged_digest_length_before_reading_the_digest(tmp_path):
+    cfg = small_config(rounds=4)
+    path, blob = _checkpoint_bytes(tmp_path, cfg)
+    assert struct.unpack_from("<H", blob, _DIGEST_AT - 2)[0] == len(config_digest(cfg)) == 16
+    struct.pack_into("<H", blob, _DIGEST_AT - 2, 65535)
+    path.write_bytes(bytes(blob))
+    message = f"^{re.escape(str(path))}: header digest_len is 65535, expected 16$"
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(str(path), cfg, build_clients(cfg))
+
+
+def test_checkpoint_rejects_a_digest_that_is_not_text(tmp_path):
+    cfg = small_config(rounds=4)
+    path, blob = _checkpoint_bytes(tmp_path, cfg)
+    blob[_DIGEST_AT] = 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="written by a different configuration"):
+        load_checkpoint(str(path), cfg, build_clients(cfg))
+
+
+@pytest.mark.parametrize(
+    "cut, section",
+    [
+        (3, "header"),
+        (_DIGEST_AT + 5, "config digest"),
+        (_DIGEST_AT + 16, "payload"),
+        (-1, "parameters of client 5"),
+    ],
+)
+def test_truncated_checkpoint_error_names_the_path_and_the_section(tmp_path, cut, section):
+    cfg = small_config(rounds=4)
+    path, blob = _checkpoint_bytes(tmp_path, cfg)
+    path.write_bytes(bytes(blob[:cut]))
+    message = f"^{re.escape(str(path))}: checkpoint truncated in the {section}"
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(str(path), cfg, build_clients(cfg))
+
+
+@pytest.mark.parametrize("extra", [b"x", b"xy", b"xyz"])
+def test_checkpoint_rejects_bytes_after_the_last_client(tmp_path, extra):
+    cfg = small_config("fedproto", rounds=4)
+    path, blob = _checkpoint_bytes(tmp_path, cfg)
+    path.write_bytes(bytes(blob) + extra)
+    clients = build_clients(cfg)
+    before = [c.params.flat.copy() for c in clients]
+    message = f"^{re.escape(str(path))}: trailing bytes after the last client$"
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(str(path), cfg, clients)
+    assert all(np.array_equal(c.params.flat, b) for c, b in zip(clients, before))
 
 
 def test_checkpoint_rejects_forged_class_count_before_reading_payload(tmp_path):

@@ -6,22 +6,16 @@ import pytest
 
 from fedguide import federation, nn
 from fedguide.baselines import PrototypeSet
-from fedguide.cli import format_metrics_csv, read_metrics_csv
+from fedguide.cli import format_metrics_csv
 from fedguide.data import ClientDataset, Dataset
 from fedguide.errors import ContractViolation
 from fedguide.federation import run_training
 from fedguide.guidance import GuidingVectorSet
-from fedguide.metrics import (
-    account_bytes,
-    convergence_round,
-    evaluate,
-    mean_row_norm,
-    separability_stats,
-)
+from fedguide.metrics import account_bytes, convergence_round, evaluate
 from fedguide.nn import MiniBatch, ModelSpec
 from fedguide.rng import stream
 
-from helpers import small_config
+from helpers import mean_row_norm, read_metrics_csv, separability_stats, small_config
 
 
 def perfect_client(n_test=10, label=0):
@@ -72,6 +66,20 @@ def test_evaluate_untrained_accuracy_near_chance():
     p = 1 / c
     sigma = np.sqrt(p * (1 - p) / n)
     assert abs(agg - p) <= 3 * sigma
+
+
+def test_evaluate_checks_the_study_set_it_scores():
+    spec, params, data = perfect_client()
+    empty = Dataset(np.zeros((0, 2)), np.zeros(0, np.int64), 2)
+    with pytest.raises(ContractViolation, match="study set is empty"):
+        evaluate([(spec, params, ClientDataset(empty, data.quiz, data.test))])
+    # class 2 is in range for the Dataset's 3 classes, not for the model's 2
+    wide = Dataset(np.zeros((2, 2)), np.array([0, 2]), 3)
+    with pytest.raises(ContractViolation, match=r"labels out of range \[0, 2\)"):
+        evaluate([(spec, params, ClientDataset(wide, data.quiz, data.test))])
+    # a study ce the round already computed is taken as it is
+    _, _, ce = evaluate([(spec, params, ClientDataset(empty, data.quiz, data.test))], None, [0.25])
+    assert ce == 0.25
 
 
 def engine_loss_increase(monkeypatch, ce_history):

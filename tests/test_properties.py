@@ -8,6 +8,7 @@ number is fixed, so the suite stays repeatable and bounded."""
 
 import json
 import os
+import re
 import struct
 import tempfile
 from unittest import mock
@@ -391,7 +392,8 @@ def test_truncated_checkpoint_raises_checkpoint_error(checkpoint_bytes, data):
         path = os.path.join(d, "ckpt")
         with open(path, "wb") as fh:
             fh.write(checkpoint_bytes[:cut])
-        with pytest.raises(CheckpointError):
+        message = re.escape(f"{path}: checkpoint truncated in the ")
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path, CHECKPOINT_CONFIG, clients)
     assert all(np.array_equal(c.params.flat, b) for c, b in zip(clients, before))
 
