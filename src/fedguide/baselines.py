@@ -145,5 +145,5 @@ def aggregate_prototypes(
 def prototype_loss_config(pset: PrototypeSet) -> LossConfig:
     """LossConfig guiding toward prototypes, skipping invalid class rows."""
     return LossConfig(
-        use_ce=True, guide_vectors=pset.vectors, guide_space=pset.space, guide_valid=pset.valid
+        guide_vectors=pset.vectors, guide_space=pset.space, guide_valid=pset.valid
     )

@@ -733,6 +733,8 @@ def run_training(
         directory = os.path.dirname(checkpoint_path) or "."
         if not os.path.isdir(directory):
             raise ConfigError(f"checkpoint_path: directory {directory} does not exist")
+    if resume_from is not None and not os.path.isfile(resume_from):
+        raise ConfigError(f"resume_from: {resume_from} is not a file")
     clients = build_clients(config)
     if resume_from is not None:
         server = load_checkpoint(resume_from, config, clients)
@@ -756,21 +758,22 @@ def _check_checkpoint_at(at: int | None, t: int, rounds: int):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format (version 2, all integers/floats little-endian):
-#   magic "FGCK" | u32 version | u64 seed | u64 completed_rounds
-#   f64 min_ce (inf when unset)
-#   u16 digest_len | digest bytes (config digest, seed included)
-#   u8 payload_kind (0 none, 1 guiding vectors, 2 prototypes)
-#     kind 1: u64 version | u64 C | u64 M | C*M f64
-#     kind 2: u64 C | u64 M | C u64 counts | C*M f64
-#   u64 n_clients
+# Checkpoint format (version 3, all integers/floats little-endian). The config
+# fixes every size, so the file holds only values:
+#   magic "FGCK" | u32 version | u64 completed_rounds | f64 min_ce (inf when unset)
+#   the config digest's 16 bytes (seed included)
+#   the payload: for prototypes, C u64 counts then C*M f64 vectors; for
+#     guiding vectors, C*M f64; nothing for local-only
 #   u8 has_evaluation | f64 accuracy | f64 mean_ce | n_clients f64 per-client
 #     accuracies (the last evaluation; all zero when has_evaluation is 0)
-#   per client: u64 param_count | that many f64
+#   every client's f64 parameters, in client order
+#   the SHA-256 of every byte before it
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"FGCK"
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
+_HEADER = struct.Struct("<4sIQd")  # magic, version, completed rounds, min_ce
+_SHA256_SIZE = 32
 
 
 @contextmanager
@@ -799,121 +802,104 @@ def save_checkpoint(
             f"{config.method} checkpoints hold payload kind {kind} "
             f"({expected.__name__}), got a {type(payload).__name__}"
         )
-    digest = config_digest(config).encode()
     with atomic_open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IQQd", _CKPT_VERSION, config.seed, server.t, server.min_ce))
-        fh.write(struct.pack("<H", len(digest)))
-        fh.write(digest)
-        if kind == 0:
-            fh.write(struct.pack("<B", 0))
-        elif kind == 1:
-            c, m = payload.vectors.shape
-            fh.write(struct.pack("<BQQQ", 1, payload.version, c, m))
-            fh.write(payload.vectors.astype("<f8").tobytes())
-        else:
-            c, m = payload.vectors.shape
-            fh.write(struct.pack("<BQQ", 2, c, m))
-            fh.write(payload.counts.astype("<u8").tobytes())
-            fh.write(payload.vectors.astype("<f8").tobytes())
-        fh.write(struct.pack("<Q", len(clients)))
-        accuracy, per_client, mean_ce = server.evaluation or (0.0, np.zeros(len(clients)), 0.0)
-        fh.write(struct.pack("<Bdd", server.evaluation is not None, accuracy, mean_ce))
-        fh.write(per_client.astype("<f8").tobytes())
-        for client in clients:
-            flat = client.params.flat
-            fh.write(struct.pack("<Q", flat.shape[0]))
-            fh.write(flat.astype("<f8").tobytes())
+        sha = hashlib.sha256()
+        for part in _checkpoint_parts(config, server, clients):
+            sha.update(part)
+            fh.write(part)
+        fh.write(sha.digest())
 
 
-def _read_exact(fh, path: str, n: int, section: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointError(f"{path}: checkpoint truncated in the {section}")
-    return data
+def _checkpoint_parts(config: RunConfig, server: ServerState, clients: list[ClientState]):
+    """The bytes of a checkpoint before its SHA-256, in file order."""
+    payload, kind = server.payload, config.family.kind
+    yield _HEADER.pack(_MAGIC, _CKPT_VERSION, server.t, server.min_ce)
+    yield config_digest(config).encode()
+    if kind == 2:
+        yield payload.counts.astype("<u8").tobytes()
+    if kind:
+        yield payload.vectors.astype("<f8").tobytes()
+    accuracy, per_client, mean_ce = server.evaluation or (0.0, np.zeros(len(clients)), 0.0)
+    yield struct.pack("<Bdd", server.evaluation is not None, accuracy, mean_ce)
+    yield per_client.astype("<f8").tobytes()
+    for client in clients:
+        yield client.params.flat.astype("<f8").tobytes()
 
 
-def _read_finite(fh, path: str, n: int, quantity: str) -> np.ndarray:
-    """The next n f64 values, which must all be finite."""
-    values = np.frombuffer(_read_exact(fh, path, 8 * n, quantity), dtype="<f8")
+def _check_finite_values(path: str, values: np.ndarray, quantity: str):
     if not np.isfinite(values).all():
         raise CheckpointError(f"{path}: non-finite value in the {quantity}")
-    return values
-
-
-def _check_header_field(path: str, field: str, found: int, expected: int):
-    if found != expected:
-        raise CheckpointError(f"{path}: header {field} is {found}, expected {expected}")
 
 
 def load_checkpoint(path: str, config: RunConfig, clients: list[ClientState]) -> ServerState:
     """Restore server state and client params in place; returns the server.
 
-    Every size in the file is checked against the config and the clients'
-    specs before the data it sizes is read, every value is checked to be
-    finite (min_ce may be inf, its unset value) and every count to fit an
-    int64, and the whole file, which must end after the last client, is read
-    before any client's parameters are written.
+    The config and the clients' specs fix the file's layout, so its length
+    is checked against theirs before anything past the header is read. The
+    SHA-256 trailer is then checked over every byte before it, and only
+    then are values parsed: each must be finite (min_ce may be inf, its
+    unset value), each count must fit an int64, and the completed rounds
+    must not pass the horizon. No client is written until all of them pass.
     """
+    digest = config_digest(config).encode()
+    c, m, kind = config.task.class_count, config.vector_dim, config.family.kind
+    n_counts = c if kind == 2 else 0
+    n_vectors = c * m if kind else 0
+    sizes = [param_count(client.spec) for client in clients]
+    n_evaluation = 2 + len(clients)  # accuracy, mean ce, per-client accuracies
+    n_values = n_counts + n_vectors + n_evaluation + sum(sizes)
+    expected = _HEADER.size + len(digest) + 1 + 8 * n_values + _SHA256_SIZE
     with open(path, "rb") as fh:
-        if _read_exact(fh, path, 4, "header") != _MAGIC:
-            raise CheckpointError(f"{path}: bad magic")
-        version, seed, t, min_ce = struct.unpack("<IQQd", _read_exact(fh, path, 28, "header"))
-        if version != _CKPT_VERSION:
-            raise CheckpointError(f"{path}: unsupported version {version}")
-        if not -math.inf < min_ce <= math.inf:
-            raise CheckpointError(f"{path}: min_ce is {min_ce}, expected a number or inf")
-        (digest_len,) = struct.unpack("<H", _read_exact(fh, path, 2, "header"))
-        digest = config_digest(config).encode()
-        _check_header_field(path, "digest_len", digest_len, len(digest))
-        if _read_exact(fh, path, digest_len, "config digest") != digest:
+        header = fh.read(_HEADER.size)
+        if len(header) == _HEADER.size:  # a shorter file fails the length check
+            magic, version, t, min_ce = _HEADER.unpack(header)
+            if magic != _MAGIC:
+                raise CheckpointError(f"{path}: bad magic")
+            if version != _CKPT_VERSION:
+                raise CheckpointError(f"{path}: unsupported version {version}")
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
             raise CheckpointError(
-                f"{path}: checkpoint was written by a different configuration"
+                f"{path}: checkpoint is {size} bytes, expected {expected}: truncated, "
+                "with trailing bytes, or from a different configuration"
             )
-        if seed != config.seed:
-            raise CheckpointError(f"{path}: seed mismatch")
-        (kind,) = struct.unpack("<B", _read_exact(fh, path, 1, "payload"))
-        expected_kind = config.family.kind
-        if kind != expected_kind:
-            raise CheckpointError(
-                f"{path}: payload kind {kind} does not match method {config.method}, "
-                f"which holds kind {expected_kind}"
-            )
-        payload: GuidingVectorSet | PrototypeSet | None = None
-        if kind == 1:
-            gv_version, c, m = struct.unpack("<QQQ", _read_exact(fh, path, 24, "payload"))
-            _check_header_field(path, "C", c, config.task.class_count)
-            _check_header_field(path, "M", m, config.vector_dim)
-            vectors = _read_finite(fh, path, c * m, "payload vectors").reshape(c, m)
-            payload = GuidingVectorSet(vectors.copy(), config.space, gv_version)
-        elif kind == 2:
-            c, m = struct.unpack("<QQ", _read_exact(fh, path, 16, "payload"))
-            _check_header_field(path, "C", c, config.task.class_count)
-            _check_header_field(path, "M", m, config.vector_dim)
-            counts = np.frombuffer(_read_exact(fh, path, 8 * c, "payload"), dtype="<u8")
-            if (counts > np.iinfo(np.int64).max).any():
-                raise CheckpointError(f"{path}: a prototype count is above 2**63 - 1")
-            vectors = _read_finite(fh, path, c * m, "payload vectors").reshape(c, m)
-            payload = PrototypeSet(vectors.copy(), counts.astype(np.int64), config.space)
-        (n_clients,) = struct.unpack("<Q", _read_exact(fh, path, 8, "evaluation"))
-        _check_header_field(path, "n_clients", n_clients, len(clients))
-        (has_evaluation,) = struct.unpack("<B", _read_exact(fh, path, 1, "evaluation"))
-        if has_evaluation > 1:
-            raise CheckpointError(f"{path}: bad evaluation flag {has_evaluation}")
-        # accuracy, mean ce, per-client accuracies; all zero when absent
-        values = _read_finite(fh, path, 2 + n_clients, "evaluation")
-        accuracy, mean_ce = float(values[0]), float(values[1])
-        evaluation = (accuracy, values[2:].astype(np.float64), mean_ce) if has_evaluation else None
-        flats = []
-        for client in clients:
-            section = f"parameters of client {client.index}"
-            (p,) = struct.unpack("<Q", _read_exact(fh, path, 8, section))
-            _check_header_field(
-                path, f"param_count of client {client.index}", p, param_count(client.spec)
-            )
-            flats.append(_read_finite(fh, path, p, section))
-        if fh.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after the last client")
+        body = fh.read()
+    sha = hashlib.sha256(header)
+    sha.update(memoryview(body)[:-_SHA256_SIZE])
+    if sha.digest() != body[-_SHA256_SIZE:]:
+        raise CheckpointError(f"{path}: SHA-256 mismatch, the checkpoint is corrupt")
+    if body[: len(digest)] != digest:
+        raise CheckpointError(f"{path}: checkpoint was written by a different configuration")
+    if t > config.rounds:
+        raise CheckpointError(
+            f"{path}: checkpoint has {t} completed rounds, past the horizon of {config.rounds}"
+        )
+    if not -math.inf < min_ce <= math.inf:
+        raise CheckpointError(f"{path}: min_ce is {min_ce}, expected a number or inf")
+    at = len(digest)
+    counts = np.frombuffer(body, "<u8", n_counts, at)
+    at += 8 * n_counts
+    vectors = np.frombuffer(body, "<f8", n_vectors, at)
+    at += 8 * n_vectors
+    has_evaluation = body[at]
+    values = np.frombuffer(body, "<f8", n_evaluation + sum(sizes), at + 1)
+    if (counts > np.iinfo(np.int64).max).any():
+        raise CheckpointError(f"{path}: a prototype count is above 2**63 - 1")
+    _check_finite_values(path, vectors, "payload vectors")
+    if has_evaluation > 1:
+        raise CheckpointError(f"{path}: bad evaluation flag {has_evaluation}")
+    _check_finite_values(path, values[:n_evaluation], "evaluation")
+    flats = np.split(values[n_evaluation:], np.cumsum(sizes)[:-1])
+    for client, flat in zip(clients, flats):
+        _check_finite_values(path, flat, f"parameters of client {client.index}")
+    payload: GuidingVectorSet | PrototypeSet | None = None
+    if kind == 1:
+        payload = GuidingVectorSet(vectors.reshape(c, m).copy(), config.space)
+    elif kind == 2:
+        payload = PrototypeSet(vectors.reshape(c, m).copy(), counts.astype(np.int64), config.space)
+    accuracy, mean_ce = float(values[0]), float(values[1])
+    per_client = values[2:n_evaluation].astype(np.float64)
+    evaluation = (accuracy, per_client, mean_ce) if has_evaluation else None
     for client, flat in zip(clients, flats):
         client.params.flat[...] = flat
     return ServerState(t, payload, min_ce, evaluation)

@@ -45,7 +45,6 @@ class GuidingVectorSet:
 
     vectors: np.ndarray  # (C, M)
     space: str
-    version: int = 0
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=np.float64)
@@ -99,8 +98,8 @@ def _check_absent_rows(per_class: np.ndarray, present: np.ndarray):
 def guided_loss_config(gset: GuidingVectorSet | None) -> LossConfig:
     """LossConfig for ce plus guidance toward ``gset`` (pure ce when None)."""
     if gset is None:
-        return LossConfig(use_ce=True)
-    return LossConfig(use_ce=True, guide_vectors=gset.vectors, guide_space=gset.space)
+        return LossConfig()
+    return LossConfig(guide_vectors=gset.vectors, guide_space=gset.space)
 
 
 def local_train_epoch(
@@ -155,7 +154,7 @@ def pseudo_train(
 
 
 # The quiz loss: plain cross-entropy.
-_QUIZ_LOSS = LossConfig(use_ce=True)
+_QUIZ_LOSS = LossConfig()
 
 
 def guidance_gradient(
@@ -256,7 +255,7 @@ def server_update(
     reported = counts > 0
     vectors = gset.vectors.copy()
     vectors[reported] -= eta_s * (rows.sum(axis=0)[reported] / counts[reported, None])
-    return GuidingVectorSet(vectors, gset.space, gset.version + 1)
+    return GuidingVectorSet(vectors, gset.space)
 
 
 def init_guiding_vectors(
@@ -266,7 +265,7 @@ def init_guiding_vectors(
     if class_count < 1 or dim < 1:
         raise ContractViolation("class_count and dim must be >= 1")
     gen = rngmod.stream(seed, rngmod.GUIDE_INIT)
-    return GuidingVectorSet(0.1 * gen.standard_normal((class_count, dim)), space, 0)
+    return GuidingVectorSet(0.1 * gen.standard_normal((class_count, dim)), space)
 
 
 def add_privacy_noise(

@@ -99,7 +99,7 @@ def evaluate(
             if ce is None:
                 study = data.study
                 if len(study) == 0:
-                    raise ContractViolation("study set is empty")
+                    raise ContractViolation(f"client {i} has an empty study set")
                 if study.class_count > spec.class_count:
                     nn._check_labels(study.labels, spec.class_count)
                 _, logits = nn.forward_batch(spec, params, study.inputs)

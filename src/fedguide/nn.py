@@ -283,7 +283,6 @@ class LossConfig:
     only their ce term.
     """
 
-    use_ce: bool = True
     guide_vectors: np.ndarray | None = None  # (C, M)
     guide_space: str = "logit"
     guide_valid: np.ndarray | None = None  # (C,) bool
@@ -291,8 +290,6 @@ class LossConfig:
     def __post_init__(self):
         if self.guide_space not in SPACES:
             raise ContractViolation(f"unknown guide space {self.guide_space!r}")
-        if not self.use_ce and self.guide_vectors is None:
-            raise ContractViolation("LossConfig selects no loss term")
 
 
 def _ce_rows(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -311,9 +308,7 @@ def total_loss(spec: ModelSpec, params: ModelParams, batch: MiniBatch, cfg: Loss
     _check_labels(batch.labels, spec.class_count)
     features, logits = forward_batch(spec, params, batch.inputs)
     n = len(batch)
-    loss = 0.0
-    if cfg.use_ce:
-        loss += float(_ce_rows(logits, batch.labels).mean())
+    loss = float(_ce_rows(logits, batch.labels).mean())
     if cfg.guide_vectors is not None:
         guided = logits if cfg.guide_space == "logit" else features
         targets = cfg.guide_vectors[batch.labels]
@@ -336,9 +331,8 @@ def _output_terms(
     guide target, and its guide_valid entry as a (..., n, 1) column; None for
     a term ``cfg`` lacks. ``labels`` holds one call's labels, of
     ``call_shape``, or many calls' stacked on leading axes."""
-    hot = targets = valid = None
-    if cfg.use_ce:
-        hot = labels + spec.class_count * np.arange(math.prod(call_shape)).reshape(call_shape)
+    hot = labels + spec.class_count * np.arange(math.prod(call_shape)).reshape(call_shape)
+    targets = valid = None
     if cfg.guide_vectors is not None:
         targets = cfg.guide_vectors[labels]
         dim = spec.class_count if cfg.guide_space == "logit" else spec.feature_dim
@@ -413,15 +407,12 @@ def grad_params(
         d_guided *= 2.0 / (d_guided.shape[-1] * n)
         if valid is not None:
             d_guided *= valid
-    if cfg.use_ce:
-        d_logits = logits  # fresh from _forward, so the softmax goes in place
-        d_logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
-        np.exp(d_logits, out=d_logits)
-        d_logits /= np.add.reduce(d_logits, axis=-1, keepdims=True)
-        d_logits.reshape(-1)[hot] -= 1.0  # a view: d_logits is contiguous
-        d_logits /= n
-    else:
-        d_logits = np.zeros_like(logits)
+    d_logits = logits  # fresh from _forward, so the softmax goes in place
+    d_logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(d_logits, out=d_logits)
+    d_logits /= np.add.reduce(d_logits, axis=-1, keepdims=True)
+    d_logits.reshape(-1)[hot] -= 1.0  # a view: d_logits is contiguous
+    d_logits /= n
     d_features_direct = None
     if d_guided is not None:
         if cfg.guide_space == "logit":

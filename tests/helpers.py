@@ -5,6 +5,8 @@ only ever call forward/total_loss, never the gradient code they check."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from fedguide import nn, rng
@@ -38,27 +40,43 @@ def small_config(method="fedl2g-f", **kwargs) -> RunConfig:
 
 def checkpoint_regions(cfg: RunConfig, clients, blob) -> dict[str, list[int]]:
     """Byte offsets of the values in a checkpoint of ``cfg``, by region:
-    "min_ce", "counts" (the u64 prototype counts), "payload" (the f64
-    payload vectors), "evaluation" (f64 accuracy, mean ce and per-client
-    accuracies) and "params" (every client's f64 parameters); read from
-    the format's layout, not from the loader."""
-    kind_at = 4 + 28 + 2 + len(config_digest(cfg))
-    kind = blob[kind_at]
+    "rounds" (the u64 completed rounds), "min_ce", "digest" (the config
+    digest's bytes), "counts" (the u64 prototype counts), "payload" (the
+    f64 payload vectors), "flag" (the u8 evaluation flag), "evaluation"
+    (f64 accuracy, mean ce and per-client accuracies) and "params" (every
+    client's f64 parameters); read from the format's layout, not from the
+    loader."""
     c, m = cfg.task.class_count, cfg.vector_dim
-    at = kind_at + 1 + (0, 24, 16)[kind]
-    counts = list(range(at, at + 8 * c, 8)) if kind == 2 else []
+    prototypes = cfg.method in ("fedproto", "feddistill")
+    digest = list(range(24, 24 + len(config_digest(cfg))))
+    at = digest[-1] + 1
+    counts = list(range(at, at + 8 * c, 8)) if prototypes else []
     at += 8 * len(counts)
-    payload = list(range(at, at + 8 * c * m, 8)) if kind else []
-    at += 8 * len(payload) + 8 + 1  # the client count and the evaluation flag
-    evaluation = list(range(at, at + 8 * (2 + len(clients)), 8))
-    at += 8 * len(evaluation)
-    params = []
-    for client in clients:
-        p = nn.param_count(client.spec)
-        params += range(at + 8, at + 8 + 8 * p, 8)
-        at += 8 + 8 * p
-    assert at == len(blob)
-    return dict(min_ce=[24], counts=counts, payload=payload, evaluation=evaluation, params=params)
+    payload = list(range(at, at + 8 * c * m, 8)) if cfg.method != "local-only" else []
+    at += 8 * len(payload)
+    flag = [at]
+    evaluation = list(range(at + 1, at + 1 + 8 * (2 + len(clients)), 8))
+    at += 1 + 8 * len(evaluation)
+    params = list(range(at, at + 8 * sum(nn.param_count(c.spec) for c in clients), 8))
+    at += 8 * len(params)
+    assert at + 32 == len(blob)  # the SHA-256 trailer
+    return dict(
+        rounds=[8],
+        min_ce=[16],
+        digest=digest,
+        counts=counts,
+        payload=payload,
+        flag=flag,
+        evaluation=evaluation,
+        params=params,
+    )
+
+
+def reseal(blob: bytearray) -> bytes:
+    """A forged checkpoint with its SHA-256 trailer recomputed, so that the
+    loader gets past the integrity check to the value checks."""
+    blob[-32:] = hashlib.sha256(blob[:-32]).digest()
+    return bytes(blob)
 
 
 def client_prototypes(study, outputs, space):
@@ -128,7 +146,7 @@ def quiz_ce_after_pseudo(
     """The composed map the guidance gradient differentiates: pseudo-train,
     then mean quiz cross-entropy."""
     theta_prime = pseudo_train(spec, params, study_batch, gset, eta_c)
-    return nn.total_loss(spec, theta_prime, quiz, LossConfig(use_ce=True))
+    return nn.total_loss(spec, theta_prime, quiz, LossConfig())
 
 
 def fd_guidance_gradient(

@@ -82,12 +82,11 @@ def test_criterion_02_parameter_gradient_and_jvp_oracles():
         spec, params, batch, rng = random_instance(i + 1000)
         mode = i % 3
         if mode == 0:
-            cfg = LossConfig(use_ce=True)
+            cfg = LossConfig()
         else:
             space = "logit" if mode == 1 else "feature"
             m = spec.class_count if space == "logit" else spec.feature_dim
             cfg = LossConfig(
-                use_ce=True,
                 guide_vectors=0.4 * rng.standard_normal((spec.class_count, m)),
                 guide_space=space,
             )

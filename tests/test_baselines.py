@@ -151,7 +151,7 @@ def test_aggregate_equal_counts_is_plain_mean():
 def test_baseline_loss_all_invalid_is_pure_ce():
     spec, params, batch, _ = random_instance(6)
     pset = empty_prototypes(3, spec.feature_dim, "feature")
-    ce = nn.total_loss(spec, params, batch, LossConfig(use_ce=True))
+    ce = nn.total_loss(spec, params, batch, LossConfig())
     assert baseline_client_loss(spec, params, batch, pset) == pytest.approx(ce, abs=1e-14)
 
 
@@ -162,7 +162,7 @@ def test_baseline_loss_matching_prototypes_is_pure_ce():
     vectors = np.zeros((3, spec.feature_dim))
     vectors[int(single.labels[0])] = features[0]
     pset = PrototypeSet(vectors, np.array([1, 1, 1]), "feature")
-    ce = nn.total_loss(spec, params, single, LossConfig(use_ce=True))
+    ce = nn.total_loss(spec, params, single, LossConfig())
     assert baseline_client_loss(spec, params, single, pset) == pytest.approx(ce, abs=1e-14)
 
 
@@ -191,7 +191,7 @@ def test_local_only_round_deterministic_and_trains():
                 stack_params([params]),
                 [study.inputs],
                 [study.labels],
-                LossConfig(use_ce=True),
+                LossConfig(),
                 0.05,
                 10,
                 [stream(0, 6, i, round_index)],

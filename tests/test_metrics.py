@@ -71,7 +71,7 @@ def test_evaluate_untrained_accuracy_near_chance():
 def test_evaluate_checks_the_study_set_it_scores():
     spec, params, data = perfect_client()
     empty = Dataset(np.zeros((0, 2)), np.zeros(0, np.int64), 2)
-    with pytest.raises(ContractViolation, match="study set is empty"):
+    with pytest.raises(ContractViolation, match="^client 0 has an empty study set$"):
         evaluate([(spec, params, ClientDataset(empty, data.quiz, data.test))])
     # class 2 is in range for the Dataset's 3 classes, not for the model's 2
     wide = Dataset(np.zeros((2, 2)), np.array([0, 2]), 3)

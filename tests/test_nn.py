@@ -75,13 +75,14 @@ def head_bias_params(bias):
 
 def ce_of(bias, label):
     spec, params, x = head_bias_params(bias)
-    return nn.total_loss(spec, params, MiniBatch(x, [label]), LossConfig(use_ce=True))
+    return nn.total_loss(spec, params, MiniBatch(x, [label]), LossConfig())
 
 
 def mse_of(pred, target):
+    """The guide term alone: the combined loss minus its ce."""
     spec, params, x = head_bias_params(pred)
-    cfg = LossConfig(use_ce=False, guide_vectors=np.array([target]), guide_space="logit")
-    return nn.total_loss(spec, params, MiniBatch(x, [0]), cfg)
+    cfg = LossConfig(guide_vectors=np.array([target]), guide_space="logit")
+    return nn.total_loss(spec, params, MiniBatch(x, [0]), cfg) - ce_of(pred, 0)
 
 
 def test_loss_ce_uniform_logits():
@@ -106,14 +107,14 @@ def test_loss_ce_label_range_checked():
 
 
 def test_loss_mse_by_hand():
-    assert mse_of(np.array([1.0, 0.0]), np.array([0.0, 0.0])) == 0.5
+    assert mse_of(np.array([1.0, 0.0]), np.array([0.0, 0.0])) == pytest.approx(0.5, abs=1e-15)
     assert mse_of(np.array([2.0, -1.0]), np.array([2.0, -1.0])) == 0.0
-    assert mse_of(np.array([3.0, -1.0]), np.array([1.0, 1.0])) == 4.0
+    assert mse_of(np.array([3.0, -1.0]), np.array([1.0, 1.0])) == pytest.approx(4.0, abs=1e-15)
 
 
 def test_loss_mse_length_mismatch():
     spec, params, x = head_bias_params(np.zeros(2))
-    cfg = LossConfig(use_ce=False, guide_vectors=np.zeros((1, 3)), guide_space="logit")
+    cfg = LossConfig(guide_vectors=np.zeros((1, 3)), guide_space="logit")
     with pytest.raises(ContractViolation):
         nn.total_loss(spec, params, MiniBatch(x, [0]), cfg)
 
@@ -123,13 +124,13 @@ def test_grad_zero_when_mse_target_already_met():
     params = nn.init_params(spec, stream(3, 3, 0))
     x = stream(3, 0).standard_normal((2, 3))
     features, _ = nn.forward_batch(spec, params, x)
-    # guide vectors equal to the model's own outputs, mse-only loss
+    # guide vectors equal to the model's own outputs: the guide term adds nothing
     V = np.zeros((2, 5))
     labels = np.array([0, 1])
     V[labels] = features
-    cfg = LossConfig(use_ce=False, guide_vectors=V, guide_space="feature")
+    cfg = LossConfig(guide_vectors=V, guide_space="feature")
     g = nn.grad_params(spec, params, MiniBatch(x, labels), cfg)
-    assert np.array_equal(g, np.zeros_like(g))
+    assert np.array_equal(g, nn.grad_params(spec, params, MiniBatch(x, labels), LossConfig()))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -137,12 +138,11 @@ def test_grad_zero_when_mse_target_already_met():
 def test_grad_params_matches_finite_differences(seed, mode):
     spec, params, batch, rng = random_instance(seed)
     if mode == "ce":
-        cfg = LossConfig(use_ce=True)
+        cfg = LossConfig()
     else:
         space = mode.split("-")[1]
         m = spec.class_count if space == "logit" else spec.feature_dim
         cfg = LossConfig(
-            use_ce=True,
             guide_vectors=0.4 * rng.standard_normal((spec.class_count, m)),
             guide_space=space,
         )
@@ -151,26 +151,27 @@ def test_grad_params_matches_finite_differences(seed, mode):
     assert rel_error(g, fd) <= 1e-6
 
 
-def test_grad_combined_equals_sum_of_parts():
+@pytest.mark.parametrize("space", nn.SPACES)
+def test_guide_term_gradient_matches_finite_differences(space):
+    # the guide term alone, as the combined loss minus ce
     spec, params, batch, rng = random_instance(21)
-    V = 0.4 * rng.standard_normal((spec.class_count, spec.feature_dim))
-    ce_cfg = LossConfig(use_ce=True)
-    mse_cfg = LossConfig(use_ce=False, guide_vectors=V, guide_space="feature")
-    both_cfg = LossConfig(use_ce=True, guide_vectors=V, guide_space="feature")
-    g_ce = nn.grad_params(spec, params, batch, ce_cfg)
-    g_mse = nn.grad_params(spec, params, batch, mse_cfg)
-    g_both = nn.grad_params(spec, params, batch, both_cfg)
-    assert np.allclose(g_both, g_ce + g_mse, atol=1e-14)
+    m = spec.class_count if space == "logit" else spec.feature_dim
+    V = 0.4 * rng.standard_normal((spec.class_count, m))
+    both, ce = LossConfig(guide_vectors=V, guide_space=space), LossConfig()
+    g_guide = nn.grad_params(spec, params, batch, both) - nn.grad_params(spec, params, batch, ce)
+    fd = fd_grad_params(spec, params, batch, both) - fd_grad_params(spec, params, batch, ce)
+    assert rel_error(g_guide, fd) <= 1e-6
 
 
 def test_feature_space_mse_gradient_confined_to_extractor():
     spec, params, batch, rng = random_instance(22)
     V = 0.4 * rng.standard_normal((spec.class_count, spec.feature_dim))
-    cfg = LossConfig(use_ce=False, guide_vectors=V, guide_space="feature")
-    g = nn.grad_params(spec, params, batch, cfg)
+    g = nn.grad_params(spec, params, batch, LossConfig(guide_vectors=V, guide_space="feature"))
+    g_ce = nn.grad_params(spec, params, batch, LossConfig())
     _, extractor_end = nn._layout(spec)
-    assert np.array_equal(g[extractor_end:], np.zeros(len(g) - extractor_end))
-    assert np.abs(g[:extractor_end]).max() > 0
+    # the head's gradient is ce's, bit for bit; the guide term moves the extractor
+    assert g[extractor_end:].tobytes() == g_ce[extractor_end:].tobytes()
+    assert np.abs(g[:extractor_end] - g_ce[:extractor_end]).max() > 0
 
 
 def test_jvp_zero_direction():
@@ -236,7 +237,7 @@ def test_jvp_feature_space_ignores_head_coordinates(seed):
 
 def test_grad_and_jvp_deterministic_bitwise():
     spec, params, batch, rng = random_instance(99)
-    cfg = LossConfig(use_ce=True)
+    cfg = LossConfig()
     direction = rng.standard_normal(params.flat.shape[0])
     assert np.array_equal(
         nn.grad_params(spec, params, batch, cfg), nn.grad_params(spec, params, batch, cfg)
@@ -321,12 +322,11 @@ def _guide_config(mode, spec, rng):
     """Loss configs of the engine's methods: ce, feature/logit guidance, and
     prototype-style guidance with invalid rows masked out."""
     if mode == "ce":
-        return LossConfig(use_ce=True)
+        return LossConfig()
     space = "logit" if mode == "logit" else "feature"
     m = spec.class_count if space == "logit" else spec.feature_dim
     valid = np.arange(spec.class_count) % 3 != 0 if mode == "masked" else None
     return LossConfig(
-        use_ce=True,
         guide_vectors=rng.standard_normal((spec.class_count, m)),
         guide_space=space,
         guide_valid=valid,
