@@ -4,6 +4,11 @@ Two heterogeneity schemes are provided: per-class Dirichlet shares and a
 pathological scheme that caps the distinct classes per client. Each client's
 shard is then split into a held-out test set, a tiny fixed-size quiz batch
 that is never trained on, and the remaining study set.
+
+Partitioning and splitting read only the labels. So a federation's pool is
+held once, written in the order the split lists the clients' sets, and
+each client's sets are views of it; a synthetic pool's inputs are drawn
+straight into that order (see SyntheticPool).
 """
 
 from __future__ import annotations
@@ -38,14 +43,9 @@ class Dataset:
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
-    def subset(self, idx: np.ndarray) -> "Dataset":
-        """The samples at ``idx`` (a 1-D index array or mask), not checked
-        again: a cut of a checked dataset has its dtypes, its ranks and its
-        labels' range."""
-        cut = object.__new__(Dataset)
-        cut.inputs, cut.labels = self.inputs[idx], self.labels[idx]
-        cut.class_count = self.class_count
-        return cut
+    def reordered(self, order: np.ndarray) -> "Dataset":
+        """The pool with row ``order[k]`` at row k, a copy."""
+        return Dataset(self.inputs[order], self.labels[order], self.class_count)
 
 
 @dataclass
@@ -68,6 +68,55 @@ class ClientDataset:
     test: Dataset
 
 
+# Rows of noise a synthetic pool draws at a time. Drawing in blocks gives
+# the bits of one draw, and no pool-order copy of the noise exists.
+_DRAW_ROWS = 1024
+
+
+@dataclass
+class SyntheticPool:
+    """generate_synthetic's pool before its inputs exist: the labels, class
+    by class, which are all the partitioners and split_client read, and the
+    parameters that draw the inputs."""
+
+    class_count: int
+    input_dim: int
+    samples_per_class: int
+    cluster_spread: float
+    seed: int
+
+    def __post_init__(self):
+        if min(self.class_count, self.input_dim, self.samples_per_class) < 1 or (
+            self.cluster_spread < 0
+        ):
+            raise ContractViolation("generate_synthetic arguments must be positive")
+        self.labels = np.repeat(np.arange(self.class_count), self.samples_per_class)
+
+    def __len__(self) -> int:
+        return self.labels.shape[0]
+
+    def reordered(self, order: np.ndarray) -> Dataset:
+        """The pool with row ``order[k]`` at row k, ``order`` a permutation
+        of the rows. The noise is drawn in pool order, a block of rows at a
+        time; each block is scaled, gets its rows' class means added
+        (element for element, means[labels] + cluster_spread * noise) and
+        is written to its rows' places."""
+        gen = rngmod.stream(self.seed, rngmod.DATA)
+        means = gen.standard_normal((self.class_count, self.input_dim))
+        means /= np.linalg.norm(means, axis=1, keepdims=True)
+        n = len(self)
+        places = np.empty(n, dtype=np.int64)
+        places[order] = np.arange(n)
+        inputs = np.empty((n, self.input_dim))
+        for start in range(0, n, _DRAW_ROWS):
+            rows = slice(start, min(start + _DRAW_ROWS, n))
+            block = gen.standard_normal((rows.stop - start, self.input_dim))
+            block *= self.cluster_spread
+            block += means[self.labels[rows]]
+            inputs[places[rows]] = block
+        return Dataset(inputs, self.labels[order], self.class_count)
+
+
 def generate_synthetic(
     class_count: int,
     input_dim: int,
@@ -75,21 +124,10 @@ def generate_synthetic(
     cluster_spread: float,
     seed: int,
 ) -> Dataset:
-    """Class-conditional Gaussian clusters around unit-norm mean directions."""
-    if min(class_count, input_dim, samples_per_class) < 1 or cluster_spread < 0:
-        raise ContractViolation("generate_synthetic arguments must be positive")
-    gen = rngmod.stream(seed, rngmod.DATA)
-    means = gen.standard_normal((class_count, input_dim))
-    means /= np.linalg.norm(means, axis=1, keepdims=True)
-    # Built in place, the pool's only full-size array: the noise, scaled, plus
-    # each class's mean on its block of rows (the labels run class by class).
-    # Element for element this is means[labels] + cluster_spread * noise.
-    inputs = gen.standard_normal((class_count * samples_per_class, input_dim))
-    inputs *= cluster_spread
-    class_blocks = inputs.reshape(class_count, samples_per_class, input_dim)  # a view
-    class_blocks += means[:, None, :]
-    labels = np.repeat(np.arange(class_count), samples_per_class)
-    return Dataset(inputs, labels, class_count)
+    """Class-conditional Gaussian clusters around unit-norm mean directions,
+    in pool order: the labels run class by class."""
+    pool = SyntheticPool(class_count, input_dim, samples_per_class, cluster_spread, seed)
+    return pool.reordered(np.arange(len(pool)))
 
 
 def load_delimited(path: str, input_dim: int, class_count: int) -> Dataset:
@@ -185,7 +223,7 @@ def _assignment(
 
 
 def partition_dirichlet(
-    ds: Dataset,
+    ds: Dataset | SyntheticPool,
     n_clients: int,
     beta: float,
     seed: int,
@@ -229,7 +267,7 @@ def partition_dirichlet(
 
 
 def partition_pathological(
-    ds: Dataset,
+    ds: Dataset | SyntheticPool,
     n_clients: int,
     classes_per_client: int,
     seed: int,
@@ -253,6 +291,15 @@ def partition_pathological(
         )
     scheme = f"pathological(cpc={classes_per_client})"
     members = [np.nonzero(ds.labels == y)[0] for y in range(C)]
+    # Every class goes to some client, so every draw would leave a holder of
+    # an empty class without a sample.
+    empty = [y for y in range(C) if members[y].shape[0] == 0]
+    if empty:
+        raise PartitionError(
+            f"{scheme} partition cannot be built: the pool has no samples of class "
+            f"{', '.join(map(str, empty))} (class_count={C}), and every class goes to "
+            f"some client. Give every class a sample, or use a dirichlet partition."
+        )
     best = 0
     for attempt in range(max_retries):
         gen = rngmod.stream(seed, rngmod.PARTITION, attempt)
@@ -295,7 +342,7 @@ def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
 
 
 def split_client(
-    ds: Dataset,
+    ds: Dataset | SyntheticPool,
     plan: PartitionPlan,
     test_fraction: float = 0.25,
     quiz_size: int = 10,
@@ -312,11 +359,47 @@ def split_client(
     the guidance is trained to lower, the client's own objective rather than
     a class-balanced one.
 
-    The cuts, quotas and ranks of all clients are computed in one pass over
-    the plan; each client's sets are then gathered from the pool, cuts of a
-    checked pool that are not checked again (see Dataset.subset). A client
-    too small to split raises, the lowest-index one first.
+    The split reads only the labels. The pool is then written once, in
+    split order (every client's study set, then every quiz, then every
+    test set, each part client by client), and each client's sets are
+    contiguous views of it, not checked again: a cut of a checked pool has
+    its dtypes, its ranks and its labels' range. A client too small to
+    split raises, the lowest-index one first.
     """
+    rows, sizes = _split_rows(ds, plan, test_fraction, quiz_size, seed)
+    pool = ds.reordered(rows)
+    bounds = [0, *np.cumsum(sizes).tolist()]
+    parts = [(pool.inputs[a:b], pool.labels[a:b]) for a, b in zip(bounds, bounds[1:])]
+    n, C = plan.n_clients, ds.class_count
+    return [
+        ClientDataset(
+            _view(Dataset, *parts[i], class_count=C),
+            _view(MiniBatch, *parts[n + i], _terms=None),
+            _view(Dataset, *parts[2 * n + i], class_count=C),
+        )
+        for i in range(n)
+    ]
+
+
+def _view(cls, inputs: np.ndarray, labels: np.ndarray, **fields):
+    """A Dataset or MiniBatch on a cut of a checked pool, not checked again."""
+    cut = object.__new__(cls)
+    cut.inputs, cut.labels = inputs, labels
+    cut.__dict__.update(fields)
+    return cut
+
+
+def _split_rows(
+    ds: Dataset | SyntheticPool,
+    plan: PartitionPlan,
+    test_fraction: float,
+    quiz_size: int,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """split_client's rows of ``ds`` in split order, and the sizes of the
+    3N sets they hold in turn: the study sets, the quizzes, the test sets.
+    The cuts, quotas and ranks of all clients are computed in one pass over
+    the plan."""
     n_clients, C = plan.n_clients, ds.class_count
     sizes = plan.client_sizes()
     test_n = np.maximum(1, (sizes * test_fraction).astype(np.int64))
@@ -358,23 +441,10 @@ def split_client(
     by_key = _stable_order(key, n_clients * C)
     sorted_key = key[by_key]
     rank = np.arange(key.shape[0]) - (np.cumsum(counts) - counts)[sorted_key]
-    quiz_rows = train_rows[by_key[rank < quotas[sorted_key]]].reshape(n_clients, quiz_size)
+    quiz_rows = train_rows[by_key[rank < quotas[sorted_key]]]
     in_study = np.zeros(len(ds), dtype=bool)  # training rows not in a quiz
     in_study[train_rows] = True
     in_study[quiz_rows] = False
-    study_rows = order[in_study[order]]
-
-    studies = np.split(study_rows, np.cumsum(train_n - quiz_size)[:-1])
-    tests = np.split(rows[is_test], np.cumsum(test_n)[:-1])
-    return [
-        ClientDataset(ds.subset(study), _quiz_batch(ds, quiz), ds.subset(test))
-        for study, quiz, test in zip(studies, quiz_rows, tests)
-    ]
-
-
-def _quiz_batch(ds: Dataset, rows: np.ndarray) -> MiniBatch:
-    """The samples at ``rows`` as a MiniBatch, cut from the checked pool like
-    Dataset.subset, so not checked again."""
-    batch = object.__new__(MiniBatch)
-    batch.inputs, batch.labels, batch._terms = ds.inputs[rows], ds.labels[rows], None
-    return batch
+    split_rows = np.concatenate((order[in_study[order]], quiz_rows, rows[is_test]))
+    quiz_n = np.full(n_clients, quiz_size)
+    return split_rows, np.concatenate((train_n - quiz_size, quiz_n, test_n))

@@ -40,8 +40,7 @@ from .baselines import (
 )
 from .data import (
     ClientDataset,
-    Dataset,
-    generate_synthetic,
+    SyntheticPool,
     load_delimited,
     partition_dirichlet,
     partition_pathological,
@@ -267,24 +266,23 @@ class ServerState:
     evaluation: tuple[float, np.ndarray, float] | None = None
 
 
-def build_dataset(config: RunConfig) -> Dataset:
+def build_clients(config: RunConfig) -> list[ClientState]:
+    """Materialize the federation: partition, splits, seeded models. The
+    partition and the split read only the pool's labels, and split_client
+    then holds the pool once, in split order: a synthetic pool's inputs are
+    drawn straight into it, a file's are copied into it once."""
+    config.validate()
     task = config.task
     if task.source == "synthetic":
-        return generate_synthetic(
+        ds = SyntheticPool(
             task.class_count,
             task.input_dim,
             task.samples_per_class,
             task.cluster_spread,
             config.seed,
         )
-    return load_delimited(task.source, task.input_dim, task.class_count)
-
-
-def build_clients(config: RunConfig) -> list[ClientState]:
-    """Materialize the federation: dataset, partition, splits, seeded models."""
-    config.validate()
-    ds = build_dataset(config)
-    task = config.task
+    else:
+        ds = load_delimited(task.source, task.input_dim, task.class_count)
     min_per_client = 2 * config.quiz_size
     if task.partition == "dirichlet":
         plan = partition_dirichlet(

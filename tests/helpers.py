@@ -1,6 +1,8 @@
 """Shared test utilities: independent finite-difference oracles, random
-problem instances, the small federated run configuration, a metric-file
-reader and the vector-separability diagnostics of criterion 09. The oracles
+problem instances, the small federated run configuration, the pool-order
+dataset the split references cut from (build_dataset, subset), a
+metric-file reader and the vector-separability diagnostics of criterion
+09. The oracles
 only ever call forward/total_loss, never the gradient code they check."""
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import numpy as np
 
 from fedguide import nn, rng
 from fedguide.cli import METRIC_HEADER
+from fedguide.data import Dataset, generate_synthetic, load_delimited
 from fedguide.errors import ConfigError, ContractViolation
 from fedguide.federation import RunConfig, TaskConfig, config_digest
 from fedguide.guidance import GuidingVectorSet, pseudo_train
@@ -285,6 +288,28 @@ def reference_pathological(ds, n_clients, cpc, seed, min_per_client, max_retries
     return None, best
 
 
+def build_dataset(config: RunConfig) -> Dataset:
+    """The task's pool in pool order: the synthetic pool, its labels class
+    by class, or the file's rows as read. build_clients partitions and
+    splits this pool without ever holding it in this order."""
+    task = config.task
+    if task.source == "synthetic":
+        return generate_synthetic(
+            task.class_count,
+            task.input_dim,
+            task.samples_per_class,
+            task.cluster_spread,
+            config.seed,
+        )
+    return load_delimited(task.source, task.input_dim, task.class_count)
+
+
+def subset(ds, idx):
+    """The samples of ``ds`` at ``idx`` (a 1-D index array or mask), as a
+    checked Dataset."""
+    return Dataset(ds.inputs[idx], ds.labels[idx], ds.class_count)
+
+
 def plan_shards(plan):
     """Every client's sample indices, ascending, one mask per client."""
     return [np.flatnonzero(plan.assignment == i) for i in range(plan.n_clients)]
@@ -305,7 +330,7 @@ def reference_split(ds_i, test_fraction, quiz_size, seed, client_index):
         [train_idx[train_labels == y][:q] for y, q in zip(classes, quotas)]
     )
     study_idx = np.setdiff1d(train_idx, quiz_idx)
-    return ds_i.subset(study_idx), ds_i.subset(quiz_idx), ds_i.subset(test_idx)
+    return subset(ds_i, study_idx), subset(ds_i, quiz_idx), subset(ds_i, test_idx)
 
 
 def read_metrics_csv(path: str) -> dict[str, np.ndarray]:

@@ -1,6 +1,9 @@
 """Data pipeline tests: synthetic generation, delimited ingestion, the two
 partitioners, and client splits."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,11 +12,13 @@ from fedguide.errors import ContractViolation, DataFormatError, PartitionError
 from fedguide.federation import RunConfig
 
 from helpers import (
+    build_dataset,
     plan_shards,
     reference_dirichlet,
     reference_largest_remainder,
     reference_pathological,
     reference_split,
+    subset,
 )
 
 
@@ -159,7 +164,7 @@ def test_partition_errors_say_what_to_change():
 
 @pytest.mark.parametrize("seed", [5, 63, 1102])
 def test_default_task_builds_on_seeds_that_needed_over_100_redraws(seed):
-    ds = federation.build_dataset(RunConfig(seed=seed))
+    ds = build_dataset(RunConfig(seed=seed))
     with pytest.raises(PartitionError):
         data.partition_dirichlet(ds, 20, 0.1, seed, 20, max_retries=100)
     clients = federation.build_clients(RunConfig(seed=seed))
@@ -167,7 +172,7 @@ def test_default_task_builds_on_seeds_that_needed_over_100_redraws(seed):
 
 
 def test_raising_the_redraw_cap_keeps_every_plan_found_under_the_old_one():
-    ds = federation.build_dataset(RunConfig(seed=1))
+    ds = build_dataset(RunConfig(seed=1))
     for seed in [s for s in range(1, 22) if s != 5]:  # 20 seeds that build under 100
         old = data.partition_dirichlet(ds, 20, 0.1, seed, 20, max_retries=100)
         new = data.partition_dirichlet(ds, 20, 0.1, seed, 20)
@@ -213,6 +218,40 @@ def test_pathological_infeasible_rejected():
         data.partition_pathological(ds, 2, 5, seed=0)  # cpc > C
     with pytest.raises(ContractViolation):
         data.partition_pathological(ds, 2, 1, seed=0)  # N*cpc < C
+
+
+def _write_pool(path, ds):
+    """``ds`` as a delimited file, each input written with repr, which reads
+    back to the same float."""
+    path.write_text(
+        "".join(
+            ",".join(map(repr, row)) + f",{label}\n"
+            for row, label in zip(ds.inputs.tolist(), ds.labels.tolist())
+        ),
+        encoding="utf-8",
+    )
+
+
+def test_pathological_partition_names_each_empty_class_before_drawing(tmp_path, monkeypatch):
+    # A file's pool holds the classes it holds: no redraw, and no larger
+    # samples_per_class, gives a holder of an empty class a sample.
+    path = tmp_path / "two-classes.csv"
+    _write_pool(path, data.generate_synthetic(2, 4, 150, 0.5, 0))
+    task = federation.TaskConfig(
+        source=str(path), class_count=3, input_dim=4, partition="pathological"
+    )
+    config = RunConfig(n_clients=3, task=task)
+    draws = []
+    monkeypatch.setattr(rng, "stream", lambda *key: draws.append(key))
+    with pytest.raises(PartitionError) as exc:
+        federation.build_clients(config)
+    assert draws == []
+    message = str(exc.value)
+    assert "no samples of class 2 (class_count=3)" in message
+    assert "redraws" not in message and "samples_per_class" not in message
+    monkeypatch.undo()
+    dirichlet = dataclasses.replace(config, task=dataclasses.replace(task, partition="dirichlet"))
+    assert len(federation.build_clients(dirichlet)) == 3
 
 
 def test_pathological_deterministic():
@@ -270,7 +309,7 @@ def test_split_client_quiz_follows_training_class_proportions():
     # A 90/5/5 shard: the quiz must carry the training part's class mix.
     pool = data.generate_synthetic(3, 6, 90, 0.5, 0)
     keep = np.concatenate([np.arange(90), np.arange(90, 95), np.arange(180, 185)])
-    ds = pool.subset(keep)
+    ds = subset(pool, keep)
     for seed in range(4):
         cd = one_client_split(ds, quiz_size=10, seed=seed)
         train_labels = np.concatenate([cd.study.labels, cd.quiz.labels])
@@ -416,14 +455,14 @@ def test_client_shards_and_splits_equal_the_reference_bitwise(shape):
     for seed in range(1, 51):
         config = RunConfig(seed=seed, **SPLIT_SHAPES[shape])
         clients = federation.build_clients(config)
-        ds = federation.build_dataset(config)
+        ds = build_dataset(config)
         task = config.task
         if task.partition == "dirichlet":
             plan = data.partition_dirichlet(ds, config.n_clients, task.beta, seed, 20)
         else:
             plan = data.partition_pathological(ds, config.n_clients, 2, seed, 20)
         for i, client in enumerate(clients):
-            shard = ds.subset(np.nonzero(plan.assignment == i)[0])
+            shard = subset(ds, np.nonzero(plan.assignment == i)[0])
             study, quiz, test = reference_split(shard, 0.25, 10, seed, i)
             got = client.data
             for part, expected in [(got.study, study), (got.quiz, quiz), (got.test, test)]:
@@ -431,3 +470,40 @@ def test_client_shards_and_splits_equal_the_reference_bitwise(shape):
                 assert part.labels.tobytes() == expected.labels.tobytes(), (seed, i)
             expected_params = nn.init_params(client.spec, rng.stream(seed, rng.MODEL_INIT, i))
             assert client.params.flat.tobytes() == expected_params.flat.tobytes()
+
+
+def test_a_file_source_builds_the_clients_of_the_same_synthetic_pool(tmp_path):
+    # The file path gathers a pool that exists; the synthetic one draws it
+    # straight into split order. Both must give every client the same sets.
+    config = RunConfig(seed=3)
+    path = tmp_path / "pool.csv"
+    _write_pool(path, build_dataset(config))
+    from_file = dataclasses.replace(config, task=dataclasses.replace(config.task, source=str(path)))
+    got, expected = federation.build_clients(from_file), federation.build_clients(config)
+    for a, b in zip(got, expected, strict=True):
+        for part in ("study", "quiz", "test"):
+            x, y = getattr(a.data, part), getattr(b.data, part)
+            assert x.inputs.tobytes() == y.inputs.tobytes(), (a.index, part)
+            assert x.labels.tobytes() == y.labels.tobytes(), (a.index, part)
+        assert a.params.flat.tobytes() == b.params.flat.tobytes()
+
+
+def test_a_federation_holds_its_pool_once_and_its_clients_view_it():
+    # wide-l's task shape: 100 clients, two classes each, a 20,000 x 32 pool.
+    config = RunConfig(seed=1, **SPLIT_SHAPES["wide-l"])
+    federation.build_clients(config)  # warm-up: first-call caches stay out of the trace
+    tracemalloc.start()
+    try:
+        clients = federation.build_clients(config)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pool_bytes = 10 * 2000 * 32 * 8
+    # Beyond what the clients keep, set-up allocates less than half a pool:
+    # no pool-order copy, and no per-client copy, of the inputs exists.
+    assert peak - current < pool_bytes / 2, (peak - current, pool_bytes)
+    pool = clients[0].data.study.inputs.base
+    assert pool is not None and pool.shape == (20000, 32)
+    for c in clients:
+        for part in (c.data.study, c.data.quiz, c.data.test):
+            assert part.inputs.base is pool

@@ -2,7 +2,8 @@
 a slice of a stacked call equals the unstacked call on that client, bit for
 bit, at any shape, and an epoch stepped in place on rows of a larger array
 equals each client stepped alone. Then the set-up and persistence
-contracts: client splits, partitions, checkpoints and option precedence.
+contracts: client splits, partitions, checkpoints and option precedence,
+and whole runs against the plain reference federation in reference.py.
 Examples are drawn deterministically (``derandomize=True``) and their
 number is fixed, so the suite stays repeatable and bounded."""
 
@@ -48,7 +49,9 @@ from helpers import (
     reseal,
     small_config,
     stack_params,
+    subset,
 )
+from reference import reference_run
 
 SETTINGS = settings(
     derandomize=True,
@@ -244,7 +247,7 @@ def test_split_of_every_client_equals_the_one_client_reference(
     splits = split_client(ds, plan, test_fraction, quiz_size, seed)
     assert len(splits) == n_clients
     for i, (got, shard) in enumerate(zip(splits, plan_shards(plan))):
-        expected = reference_split(ds.subset(shard), test_fraction, quiz_size, seed, i)
+        expected = reference_split(subset(ds, shard), test_fraction, quiz_size, seed, i)
         for part, want in zip([got.study, got.quiz, got.test], expected):
             assert part.inputs.tobytes() == want.inputs.tobytes(), i
             assert part.labels.tobytes() == want.labels.tobytes(), i
@@ -352,7 +355,14 @@ def test_pathological_partition_equals_the_reference(
     )
     ds = Dataset(np.zeros((labels.shape[0], 1)), labels, len(class_sizes))
     expected, best = reference_pathological(ds, n_clients, cpc, seed, minimum, retries)
-    if expected is None:
+    empty = [str(y) for y, size in enumerate(class_sizes) if size == 0]
+    if empty:
+        # Every class goes to some client, so no draw can succeed; the
+        # partitioner says so before the first, naming the empty classes.
+        assert expected is None
+        with pytest.raises(PartitionError, match=rf"no samples of class {', '.join(empty)} \("):
+            partition_pathological(ds, n_clients, cpc, seed, minimum, max_retries=retries)
+    elif expected is None:
         exhausted = rf"after {retries} redraws.*smallest client had {best}\)"
         with pytest.raises(PartitionError, match=exhausted):
             partition_pathological(ds, n_clients, cpc, seed, minimum, max_retries=retries)
@@ -578,3 +588,74 @@ def test_option_precedence_is_default_file_env_flag(present):
     expected = _parse(only_winner)
     for key, (_, _, read) in PRECEDENCE.items():
         assert read(parsed) == read(expected), key
+
+
+# Whole runs against the reference federation: the engine's groups, stacks,
+# plans and stream tables must give every client the numbers it would get
+# alone, in any order, and a resumed run the numbers of an unbroken one.
+
+
+def _assert_equals_reference(result, expected):
+    """The engine's metric rows, per-client accuracies, upload rows, final
+    parameters and payload equal the reference's, bit for bit; a resumed
+    run's rows equal the reference's last ones."""
+    history = result.history
+    tail = expected.history[len(expected.history) - len(history) :]
+    assert cli.format_metrics_csv(history) == cli.format_metrics_csv(tail)
+    for got, want in zip(history, tail, strict=True):
+        assert got.per_client_accuracy.tobytes() == want.per_client_accuracy.tobytes()
+        assert (got.n_participants, got.upload_rows) == (want.n_participants, want.upload_rows)
+    for client, params in zip(result.clients, expected.params, strict=True):
+        assert client.params.flat.tobytes() == params.tobytes(), client.index
+    payload = result.server.payload
+    assert (payload is None) == (expected.payload is None)
+    if payload is not None:
+        assert payload.vectors.tobytes() == expected.payload.vectors.tobytes()
+        counts = getattr(payload, "counts", np.zeros(0))
+        assert counts.tobytes() == getattr(expected.payload, "counts", np.zeros(0)).tobytes()
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(
+    st.sampled_from(METHODS),
+    st.sampled_from([1.0, 0.5, 0.34]),
+    st.integers(1, 3),
+    st.integers(1, 16),
+    st.integers(0, 4),
+    st.sampled_from([(0.0, 0.0), (0.5, 0.5), (2.0, 1.0)]),
+    st.integers(0, 40),
+)
+def test_a_run_equals_the_reference_federation(
+    method, rho, eval_every, batch_size, warmup, noise, seed
+):
+    noise_s, noise_p = noise
+    cfg = small_config(
+        method,
+        rounds=5,
+        rho=rho,
+        eval_every=eval_every,
+        batch_size=batch_size,
+        warmup=warmup,
+        noise_s=noise_s,
+        noise_p=noise_p,
+        seed=seed,
+    )
+    _assert_equals_reference(run_training(cfg), reference_run(cfg))
+
+
+@pytest.mark.parametrize("method", ["fedl2g-f", "fedproto"])
+def test_a_resumed_run_equals_the_unbroken_reference(tmp_path, method):
+    cfg = small_config(method, rounds=6, rho=0.5, eval_every=2)
+    path = str(tmp_path / "ckpt")
+    run_training(cfg, checkpoint_at=3, checkpoint_path=path)
+    resumed = run_training(cfg, resume_from=path)
+    assert [m.round_index for m in resumed.history] == [4, 5, 6]
+    _assert_equals_reference(resumed, reference_run(cfg))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_results_do_not_depend_on_the_order_clients_run(method):
+    # The reference runs each round's participants from the highest index
+    # down; the server still reduces in client order.
+    cfg = small_config(method, rounds=4, rho=0.5, noise_s=0.5, noise_p=0.5)
+    _assert_equals_reference(run_training(cfg), reference_run(cfg, reverse=True))
